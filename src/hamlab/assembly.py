@@ -27,6 +27,7 @@ from .errors import (
     GenerationError,
     ParameterError,
     SearchFailureError,
+    UnreachableError,
     WrongPipelineError,
 )
 from .matching import is_strongly_k_connected, max_matching
@@ -204,10 +205,11 @@ class ClusterWalk:
         return account(list(self.walks))
 
 
-def _covering_walk(
-    r2: Digraph, f: OneFactor, start: int, end: int, forbidden_cap: Counter | None
-) -> ShiftedWalk:
-    """A chain of shifted walks from start to end using every cluster."""
+def _covering_walk(r2: Digraph, f: OneFactor, start: int, end: int) -> ShiftedWalk:
+    """A chain of shifted walks from start to end using every cluster.
+
+    Unlike the linking walks, it does not enforce the internal-use cap.
+    """
     k = r2.n
     walk = ShiftedWalk((start,), f)
     unused = set(range(k))
@@ -266,7 +268,7 @@ def build_walk(
         }
         try:
             w = find_shifted_walk(r2, f, a, b, forbidden=hot)
-        except Exception:
+        except UnreachableError:
             w = find_shifted_walk(r2, f, a, b)
         w = shorten_walk(w)
         for x in w.internal_clusters():
@@ -274,7 +276,7 @@ def build_walk(
         return w
 
     if r == 0:
-        walks.append(_covering_walk(r2, f, 0, 0, None))
+        walks.append(_covering_walk(r2, f, 0, 0))
     else:
         for i in range(r - 1):
             a = entries[i].y_cluster
@@ -282,7 +284,7 @@ def build_walk(
             walks.append(linking_walk(a, b))
         a = entries[r - 1].y_cluster
         b = f.successor(entries[0].x_cluster)
-        walks.append(_covering_walk(r2, f, a, b, internal))
+        walks.append(_covering_walk(r2, f, a, b))
 
     cw = ClusterWalk(tuple(walks), assign, f, k)
     counts = cw.visit_counts()

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 condition/check negative, 2 usage error,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +35,17 @@ _EXIT_WRONG_PIPELINE = 3
 _EXIT_STAGE = 4
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _load(parse, path: str, **kwargs):
+    """``parse`` applied to the text of ``path``.
+
+    Input that cannot be read or parsed, or that parses into an invalid
+    object (bad JSON, a missing key, a self-loop edge, ...), is a usage
+    error: exit 2.
+    """
+    try:
+        return parse(Path(path).read_text(), **kwargs)
+    except (OSError, ValueError, KeyError, ParameterError, PreconditionError) as exc:
+        _fail(exc, _EXIT_USAGE)
 
 
 def _emit(ctx, text: str) -> None:
@@ -71,8 +79,6 @@ def _fail(exc: Exception, code: int):
 @click.pass_context
 def main(ctx, seed, fmt, output, jobs):
     """Digraph Hamiltonicity laboratory."""
-    if os.environ.get("HAMLAB_DETERMINISTIC") == "1":
-        jobs = 1
     ctx.obj = {"seed": seed, "format": fmt, "output": output, "jobs": jobs}
 
 
@@ -119,8 +125,8 @@ def gen(ctx, family, n, k, a, beta, m, density, v0_count, template, factor):
                 )
             from .generators import gen_blowup
 
-            r0 = Digraph.from_json(_read(template))
-            f0 = OneFactor.from_json(_read(factor), host=r0)
+            r0 = _load(Digraph.from_json, template)
+            f0 = _load(OneFactor.from_json, factor, host=r0)
             g, part, f = gen_blowup(
                 r0, f0, m, _frac(density), v0_count, seed=ctx.obj["seed"]
             )
@@ -143,15 +149,9 @@ def gen(ctx, family, n, k, a, beta, m, density, v0_count, template, factor):
 @click.pass_context
 def check(ctx, condition, beta, input_path):
     """Run one degree-condition checker; exit 0 if it holds, 1 otherwise."""
-    g = Digraph.from_json(_read(input_path))
-    checker = CHECKERS[condition]
+    g = _load(Digraph.from_json, input_path)
     try:
-        if condition in ("semi-exact", "posa-min", "kot"):
-            if beta is None:
-                raise click.UsageError(f"--condition {condition} needs --beta")
-            report = checker(g, _frac(beta))
-        else:
-            report = checker(g)
+        report = CHECKERS[condition](g, None if beta is None else _frac(beta))
     except (ParameterError, PreconditionError) as exc:
         _fail(exc, _EXIT_USAGE)
     _emit(ctx, report.to_json())
@@ -167,7 +167,7 @@ def cover(ctx, input_path, d_value, trace_path):
     """Cover a reduced digraph by cycles with bounded waste."""
     from .cycle_cover import cover_by_cycles
 
-    g = Digraph.from_json(_read(input_path))
+    g = _load(Digraph.from_json, input_path)
     try:
         result = cover_by_cycles(g, _frac(d_value), seed=ctx.obj["seed"])
     except (ParameterError, PreconditionError) as exc:
@@ -197,8 +197,8 @@ def pairs():
 def _load_pair(input_path, partition_path, i, j):
     from .regular_pairs import ClusterPartition, Pair
 
-    g = Digraph.from_json(_read(input_path))
-    part = ClusterPartition.from_json(_read(partition_path))
+    g = _load(Digraph.from_json, input_path)
+    part = _load(ClusterPartition.from_json, partition_path)
     return Pair(g, part.clusters[i], part.clusters[j])
 
 
@@ -304,10 +304,10 @@ def solve(ctx, input_path, partition_path, factor_path, eta, eps, d_value, cert_
     from .assembly import assemble_hamilton
     from .regular_pairs import ClusterPartition, build_reduced
 
-    g = Digraph.from_json(_read(input_path))
-    part = ClusterPartition.from_json(_read(partition_path))
+    g = _load(Digraph.from_json, input_path)
+    part = _load(ClusterPartition.from_json, partition_path)
+    f = _load(OneFactor.from_json, factor_path)
     try:
-        f = OneFactor.from_json(_read(factor_path))
         r2 = build_reduced(g, part, _frac(eps), _frac(d_value), seed=ctx.obj["seed"]).base
         cert = assemble_hamilton(
             g, part, f, r2, _frac(eta), _frac(eps), _frac(d_value),
@@ -332,7 +332,7 @@ def oracle(ctx, input_path):
     """Exact Hamiltonicity oracle; exit 0 Hamiltonian, 1 not."""
     from .oracle import brute_force_hamiltonian
 
-    g = Digraph.from_json(_read(input_path))
+    g = _load(Digraph.from_json, input_path)
     try:
         cert = brute_force_hamiltonian(g)
     except HamlabError as exc:
@@ -351,7 +351,7 @@ def experiment(ctx, spec_path):
     from .experiment import run_experiment
 
     try:
-        specs = json.loads(_read(spec_path))
+        specs = _load(json.loads, spec_path)
         report = run_experiment(specs, parallelism=ctx.obj["jobs"])
     except (ParameterError, ValueError, KeyError) as exc:
         _fail(exc, _EXIT_USAGE)

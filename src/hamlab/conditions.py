@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .digraph import Digraph, DegreeSequences, degree_sequences
+from .digraph import Digraph, DegreeSequences, degree_at, degree_sequences
 from .errors import ParameterError, PreconditionError
 from .matching import is_strongly_connected
-
-CONDITION_NAMES = ("gh", "posa", "nwc", "semi-exact", "posa-min", "kot")
 
 
 @dataclass(frozen=True)
@@ -46,35 +44,63 @@ class ConditionReport:
         )
 
 
-def _deg_at_least(seq: tuple[int, ...], index, threshold) -> bool:
-    """Is d_j >= threshold, with j rounded up and out-of-range j vacuous?"""
-    j = ceil(index) if not isinstance(index, int) else index
-    n = len(seq)
-    if j < 1 or j > n:
-        return True
-    return seq[j - 1] >= threshold
+def _check_beta(beta) -> Fraction:
+    if beta is None:
+        raise ParameterError("this condition needs beta")
+    beta = Fraction(beta)
+    if not 0 < beta <= 1:
+        raise ParameterError(f"beta must be in (0, 1], got {beta}")
+    return beta
+
+
+def _below(limit) -> range:
+    """The indices 1 <= i < limit."""
+    return range(1, ceil(limit))
+
+
+def _at_least(seq: tuple[int, ...], index, threshold) -> bool:
+    d = degree_at(seq, index)
+    return d is None or d >= threshold
+
+
+def _scan(name, seqs: DegreeSequences, params, indices, first, back=None):
+    """Report the first index i in ``indices`` at which the condition fails.
+
+    At i the condition asks d_i^+ >= first(i) and d_i^- >= first(i). With
+    ``back`` (the Chvatal-type conditions) each of the two may instead hold
+    through its back clause, d^-_{back(i)} >= n - i and d^+_{back(i)} >= n - i
+    respectively. Integer thresholds are reported as ints, rational ones as
+    strings.
+    """
+    n = seqs.n
+    for i in indices:
+        t = first(i)
+        d_out, d_in = seqs.out_sorted[i - 1], seqs.in_sorted[i - 1]
+        if back is None:
+            clauses = {}
+            if d_out >= t and d_in >= t:
+                continue
+        else:
+            clauses = {
+                "clause_i": d_out >= t or _at_least(seqs.in_sorted, back(i), n - i),
+                "clause_ii": d_in >= t or _at_least(seqs.out_sorted, back(i), n - i),
+            }
+            if all(clauses.values()):
+                continue
+        witness = {"i": i, "d_out": d_out, "d_in": d_in, **clauses}
+        witness["threshold"] = t if isinstance(t, int) else str(t)
+        return ConditionReport(
+            name, False, first_violation=i, witness=witness, parameters=params
+        )
+    return ConditionReport(name, True, parameters=params)
 
 
 def check_ghouila_houri(g: Digraph) -> ConditionReport:
     """Minimum in- and outdegree at least n/2."""
     if g.n < 2:
         raise ParameterError("need n >= 2")
-    seqs = degree_sequences(g)
     half = Fraction(g.n, 2)
-    if seqs.d_out(1) >= half and seqs.d_in(1) >= half:
-        return ConditionReport("gh", True, parameters={"n": g.n})
-    return ConditionReport(
-        "gh",
-        False,
-        first_violation=1,
-        witness={
-            "i": 1,
-            "d_out": seqs.d_out(1),
-            "d_in": seqs.d_in(1),
-            "threshold": str(half),
-        },
-        parameters={"n": g.n},
-    )
+    return _scan("gh", degree_sequences(g), {"n": g.n}, [1], lambda i: half)
 
 
 def check_posa_digraph(g: Digraph) -> ConditionReport:
@@ -86,38 +112,15 @@ def check_posa_digraph(g: Digraph) -> ConditionReport:
     if g.n < 3:
         raise ParameterError("need n >= 3")
     n = g.n
-    seqs = degree_sequences(g)
-    for i in range(1, n):
-        if not Fraction(i) < Fraction(n - 1, 2):
-            break
-        if seqs.d_out(i) < i + 1 or seqs.d_in(i) < i + 1:
-            return ConditionReport(
-                "posa",
-                False,
-                first_violation=i,
-                witness={
-                    "i": i,
-                    "d_out": seqs.d_out(i),
-                    "d_in": seqs.d_in(i),
-                    "threshold": i + 1,
-                },
-                parameters={"n": n},
-            )
     half = ceil(Fraction(n, 2))
-    if seqs.d_out(half) < half or seqs.d_in(half) < half:
-        return ConditionReport(
-            "posa",
-            False,
-            first_violation=half,
-            witness={
-                "i": half,
-                "d_out": seqs.d_out(half),
-                "d_in": seqs.d_in(half),
-                "threshold": half,
-            },
-            parameters={"n": n},
-        )
-    return ConditionReport("posa", True, parameters={"n": n})
+    # i + 1 <= half for every i < (n-1)/2, so the min only bites at i = half
+    return _scan(
+        "posa",
+        degree_sequences(g),
+        {"n": n},
+        [*_below(Fraction(n - 1, 2)), half],
+        lambda i: min(i + 1, half),
+    )
 
 
 def check_nash_williams_chvatal(g: Digraph) -> ConditionReport:
@@ -132,153 +135,78 @@ def check_nash_williams_chvatal(g: Digraph) -> ConditionReport:
             witness={"strongly_connected": False},
             parameters={"n": n},
         )
-    seqs = degree_sequences(g)
-    for i in range(1, n):
-        if not Fraction(i) < Fraction(n, 2):
-            break
-        clause_i = seqs.d_out(i) >= i + 1 or _deg_at_least(
-            seqs.in_sorted, n - i, n - i
-        )
-        clause_ii = seqs.d_in(i) >= i + 1 or _deg_at_least(
-            seqs.out_sorted, n - i, n - i
-        )
-        if not (clause_i and clause_ii):
-            return ConditionReport(
-                "nwc",
-                False,
-                first_violation=i,
-                witness={
-                    "i": i,
-                    "d_out": seqs.d_out(i),
-                    "d_in": seqs.d_in(i),
-                    "clause_i": clause_i,
-                    "clause_ii": clause_ii,
-                    "threshold": i + 1,
-                },
-                parameters={"n": n},
-            )
-    return ConditionReport("nwc", True, parameters={"n": n})
+    return _scan(
+        "nwc",
+        degree_sequences(g),
+        {"n": n},
+        _below(Fraction(n, 2)),
+        lambda i: i + 1,
+        lambda i: n - i,
+    )
 
 
-def _semi_exact_clauses(
-    seqs: DegreeSequences, n: int, beta: Fraction, i: int, cap: bool
-) -> tuple[bool, bool]:
-    """Out-degree and in-degree clauses of the condition at index i.
-
-    With ``cap`` the first disjunct threshold is min(i + beta*n, n/2),
-    without it just i + beta*n.
+def semi_exact_thresholds(n: int, beta: Fraction):
+    """First threshold and back index of the semi-exact condition at index i:
+    d_i^+ >= min(i + beta*n, n/2) or d^-_{n-i-beta*n} >= n - i, and the mirror.
     """
-    first = i + beta * n
-    if cap:
-        first = min(first, Fraction(n, 2))
-    back_index = n - i - beta * n
-    clause_i = seqs.out_sorted[i - 1] >= first or _deg_at_least(
-        seqs.in_sorted, back_index, n - i
+    return (lambda i: min(i + beta * n, Fraction(n, 2))), (lambda i: n - i - beta * n)
+
+
+def semi_exact_report(seqs: DegreeSequences, beta: Fraction) -> ConditionReport:
+    """check_semi_exact on bare degree sequences, for a validated beta."""
+    n = seqs.n
+    return _scan(
+        "semi-exact",
+        seqs,
+        {"n": n, "beta": str(beta)},
+        _below(Fraction(n, 2)),
+        *semi_exact_thresholds(n, beta),
     )
-    clause_ii = seqs.in_sorted[i - 1] >= first or _deg_at_least(
-        seqs.out_sorted, back_index, n - i
-    )
-    return clause_i, clause_ii
-
-
-def _check_beta(beta) -> Fraction:
-    beta = Fraction(beta)
-    if not 0 < beta <= 1:
-        raise ParameterError(f"beta must be in (0, 1], got {beta}")
-    return beta
-
-
-def _range_below_half(n: int):
-    i = 1
-    while Fraction(i) < Fraction(n, 2):
-        yield i
-        i += 1
 
 
 def check_semi_exact(g: Digraph, beta) -> ConditionReport:
     """The semi-exact Chvatal-type condition with error term beta*n."""
-    beta = _check_beta(beta)
-    n = g.n
-    seqs = degree_sequences(g)
-    params = {"n": n, "beta": str(beta)}
-    for i in _range_below_half(n):
-        clause_i, clause_ii = _semi_exact_clauses(seqs, n, beta, i, cap=True)
-        if not (clause_i and clause_ii):
-            return ConditionReport(
-                "semi-exact",
-                False,
-                first_violation=i,
-                witness={
-                    "i": i,
-                    "d_out": seqs.d_out(i),
-                    "d_in": seqs.d_in(i),
-                    "clause_i": clause_i,
-                    "clause_ii": clause_ii,
-                    "threshold": str(min(i + beta * n, Fraction(n, 2))),
-                },
-                parameters=params,
-            )
-    return ConditionReport("semi-exact", True, parameters=params)
+    return semi_exact_report(degree_sequences(g), _check_beta(beta))
 
 
 def check_posa_min(g: Digraph, beta) -> ConditionReport:
     """The semi-exact Posa-type condition: d_i^+/- >= min(i+beta*n, n/2)."""
     beta = _check_beta(beta)
     n = g.n
-    seqs = degree_sequences(g)
-    params = {"n": n, "beta": str(beta)}
-    for i in _range_below_half(n):
-        threshold = min(i + beta * n, Fraction(n, 2))
-        if seqs.d_out(i) < threshold or seqs.d_in(i) < threshold:
-            return ConditionReport(
-                "posa-min",
-                False,
-                first_violation=i,
-                witness={
-                    "i": i,
-                    "d_out": seqs.d_out(i),
-                    "d_in": seqs.d_in(i),
-                    "threshold": str(threshold),
-                },
-                parameters=params,
-            )
-    return ConditionReport("posa-min", True, parameters=params)
+    return _scan(
+        "posa-min",
+        degree_sequences(g),
+        {"n": n, "beta": str(beta)},
+        _below(Fraction(n, 2)),
+        lambda i: min(i + beta * n, Fraction(n, 2)),
+    )
 
 
 def check_kot(g: Digraph, beta) -> ConditionReport:
     """The uncapped Chvatal-type condition: d_i^+ >= i + beta*n or the back clause."""
     beta = _check_beta(beta)
     n = g.n
-    seqs = degree_sequences(g)
-    params = {"n": n, "beta": str(beta)}
-    for i in _range_below_half(n):
-        clause_i, clause_ii = _semi_exact_clauses(seqs, n, beta, i, cap=False)
-        if not (clause_i and clause_ii):
-            return ConditionReport(
-                "kot",
-                False,
-                first_violation=i,
-                witness={
-                    "i": i,
-                    "d_out": seqs.d_out(i),
-                    "d_in": seqs.d_in(i),
-                    "clause_i": clause_i,
-                    "clause_ii": clause_ii,
-                    "threshold": str(i + beta * n),
-                },
-                parameters=params,
-            )
-    return ConditionReport("kot", True, parameters=params)
+    return _scan(
+        "kot",
+        degree_sequences(g),
+        {"n": n, "beta": str(beta)},
+        _below(Fraction(n, 2)),
+        lambda i: i + beta * n,
+        lambda i: n - i - beta * n,
+    )
 
 
+# Every entry is called as checker(g, beta); the first three ignore beta and
+# the others raise ParameterError when it is None.
 CHECKERS = {
-    "gh": lambda g, beta=None: check_ghouila_houri(g),
-    "posa": lambda g, beta=None: check_posa_digraph(g),
-    "nwc": lambda g, beta=None: check_nash_williams_chvatal(g),
+    "gh": lambda g, beta: check_ghouila_houri(g),
+    "posa": lambda g, beta: check_posa_digraph(g),
+    "nwc": lambda g, beta: check_nash_williams_chvatal(g),
     "semi-exact": check_semi_exact,
     "posa-min": check_posa_min,
     "kot": check_kot,
 }
+CONDITION_NAMES = tuple(CHECKERS)
 
 
 def derive_min_semidegree(g: Digraph, beta) -> bool:
@@ -300,17 +228,12 @@ def full_range_equivalence(g: Digraph, beta) -> bool:
     beta = _check_beta(beta)
     n = g.n
     seqs = degree_sequences(g)
+    first, back = semi_exact_thresholds(n, beta)
 
-    def all_hold(limit: Fraction) -> bool:
-        i = 1
-        while Fraction(i) < limit:
-            clause_i, clause_ii = _semi_exact_clauses(seqs, n, beta, i, cap=True)
-            if not (clause_i and clause_ii):
-                return False
-            i += 1
-        return True
+    def holds(limit: Fraction) -> bool:
+        return _scan("semi-exact", seqs, {}, _below(limit), first, back).holds
 
-    return all_hold(Fraction(n, 2)) == all_hold(n - beta * n)
+    return holds(Fraction(n, 2)) == holds(n - beta * n)
 
 
 def gen_extremal_chvatal(n: int, k: int) -> Digraph:

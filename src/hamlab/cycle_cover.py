@@ -13,15 +13,11 @@ from math import ceil
 
 import numpy as np
 
-from .digraph import Digraph, degree_sequences
+from .digraph import Digraph, degree_at, degree_sequences
 from .errors import ContractError, ParameterError, ScaleError
 from .matching import find_one_factor
 
 _EXHAUSTIVE_K_CAP = 22
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def _leq_times_sqrt(s: int, coeff: int, d: Fraction, k: int) -> bool:
@@ -50,14 +46,6 @@ class DegreeInheritanceReport:
             if c.clause == name:
                 return c
         raise ParameterError(f"no clause named {name!r}")
-
-
-def _deg(seq: tuple[int, ...], index) -> int | None:
-    """d_j with j rounded up; None when j is outside [1, n] (vacuous)."""
-    j = ceil(index)
-    if j < 1 or j > len(seq):
-        return None
-    return seq[j - 1]
 
 
 def verify_inherited_degrees(
@@ -107,7 +95,7 @@ def verify_inherited_degrees(
         margin, wit = None, None
         for i in range(1, k + 1):
             first = Fraction(fwd[i - 1]) - min(i + beta * k / 2, cap)
-            back = _deg(bwd, (1 - beta / 2) * k - i)
+            back = degree_at(bwd, (1 - beta / 2) * k - i)
             if back is None:
                 second = None
             else:
@@ -206,7 +194,7 @@ def partition_cycles_paths(r: Digraph, d) -> PathCyclePartition:
     k = r.n
     if k == 0:
         return PathCyclePartition((), (), frozenset())
-    q = _ceil_frac(4 * d * k)
+    q = ceil(4 * d * k)
     threshold = (Fraction(1, 2) - 2 * d) * k
     edges = list(r.edges())
     for i in range(q):
@@ -309,7 +297,7 @@ def cover_by_cycles(
             )
             break
         alpha = Fraction(5 * d * k, s_total)
-        ells = [_ceil_frac(alpha * len(p)) for p in paths]
+        ells = [ceil(alpha * len(p)) for p in paths]
         p_act = paths[active]
         u, v = p_act[0], p_act[-1]
         case = None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import ceil
 
 from .errors import MalformedCertificateError, ParameterError
 
@@ -191,6 +192,15 @@ class DegreeSequences:
         return self.in_sorted[i - 1]
 
 
+def degree_at(seq: tuple[int, ...], index) -> int | None:
+    """d_j of a nondecreasing degree sequence, with j = ceil(index).
+
+    None when j is outside [1, n]: a statement about such a d_j is vacuous.
+    """
+    j = ceil(index)
+    return seq[j - 1] if 1 <= j <= len(seq) else None
+
+
 def degree_sequences(g: Digraph) -> DegreeSequences:
     return DegreeSequences(
         out_sorted=tuple(sorted(len(a) for a in g.out_adj)),
@@ -303,14 +313,6 @@ class OneFactor:
         cycles = [[int(v) for v in c] for c in data["cycles"]]
         n = sum(len(c) for c in cycles)
         return cls.from_cycles(n, cycles, host)
-
-
-def factor_successor(f: OneFactor, x: int) -> int:
-    return f.successor(x)
-
-
-def factor_predecessor(f: OneFactor, x: int) -> int:
-    return f.predecessor(x)
 
 
 def distances_on_factor(f: OneFactor, x: int, y: int) -> set[int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -124,10 +123,7 @@ def run_instance(spec: InstanceSpec) -> dict:
         record["n"] = g.n
         beta = Fraction(str(spec.parameters.get("beta", "1/4")))
         for name, checker in CHECKERS.items():
-            try:
-                record[name] = checker(g, beta).holds
-            except TypeError:
-                record[name] = checker(g).holds
+            record[name] = checker(g, beta).holds
         if g.n <= 20:
             from .oracle import brute_force_hamiltonian
 
@@ -146,8 +142,6 @@ def run_experiment(specs, parallelism: int = 1) -> ExperimentReport:
         s if isinstance(s, InstanceSpec) else InstanceSpec.from_json_obj(s)
         for s in specs
     ]
-    if os.environ.get("HAMLAB_DETERMINISTIC") == "1":
-        parallelism = 1
     if parallelism <= 1 or len(specs) <= 1:
         records = [run_instance(s) for s in specs]
     else:

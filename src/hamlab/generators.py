@@ -8,11 +8,12 @@ degree condition via a deterministic repair loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 
-from .conditions import check_semi_exact
-from .digraph import Digraph, OneFactor
+from .conditions import check_semi_exact, semi_exact_report, semi_exact_thresholds
+from .digraph import DegreeSequences, Digraph, OneFactor
 from .errors import GenerationError, ParameterError
 from .regular_pairs import ClusterPartition, Pair, certify_super_regular
 
@@ -68,7 +69,6 @@ def gen_blowup(
     for i, j in r0.edges():
         plan[(i, j)] = _random_pair_edges(rng, clusters[i], clusters[j], pair_density)
 
-    host_stub = Digraph(n, [])
     for i in range(k):
         j = f0.successor(i)
         for attempt in range(_AUDIT_RETRIES + 1):
@@ -85,7 +85,6 @@ def gen_blowup(
             plan[(i, j)] = _random_pair_edges(
                 rng, clusters[i], clusters[j], pair_density
             )
-    del host_stub
     for pair_edges in plan.values():
         edges.extend(pair_edges)
 
@@ -122,62 +121,54 @@ def gen_random_condition(n: int, beta, seed: int = 0) -> Digraph:
     mask = rng.random((n, n)) < 0.5
     np.fill_diagonal(mask, False)
     out_sets = [set(np.nonzero(mask[u])[0].tolist()) for u in range(n)]
+    in_counts = mask.sum(axis=0).tolist()
+    first, back = semi_exact_thresholds(n, beta)
 
-    def current() -> Digraph:
-        return Digraph(n, [(u, v) for u in range(n) for v in sorted(out_sets[u])])
+    def add(a: int, b: int) -> None:
+        out_sets[a].add(b)
+        in_counts[b] += 1
+
+    def add_any_missing() -> bool:
+        for a in range(n):
+            for b in range(n):
+                if a != b and b not in out_sets[a]:
+                    add(a, b)
+                    return True
+        return False
 
     cap = _REPAIR_CAP_FACTOR * n * n
     for _ in range(cap):
-        g = current()
-        report = check_semi_exact(g, beta)
+        out_counts = [len(s) for s in out_sets]
+        seqs = DegreeSequences(tuple(sorted(out_counts)), tuple(sorted(in_counts)))
+        report = semi_exact_report(seqs, beta)
         if report.holds:
-            return g
+            break
         i = report.first_violation
-        out_deg = sorted(range(n), key=lambda u: (len(out_sets[u]), u))
-        in_counts = [0] * n
-        for u in range(n):
-            for v in out_sets[u]:
-                in_counts[v] += 1
-        in_deg = sorted(range(n), key=lambda v: (in_counts[v], v))
-
-        # shortfalls of the two clauses at the violated index
-        from math import ceil as _ceil
-
-        cap_i = min(i + beta * n, Fraction(n, 2))
-        u = out_deg[i - 1]
-        out_short = _ceil(cap_i) - len(out_sets[u])
-        j = _ceil(n - i - beta * n)
-        in_short = -1
-        w = None
-        if 1 <= j <= n:
-            w = in_deg[j - 1]
-            in_short = (n - i) - in_counts[w]
-
-        def add_any_missing():
-            for a in range(n):
-                for b in range(n):
-                    if a != b and b not in out_sets[a]:
-                        out_sets[a].add(b)
-                        return True
-            return False
+        # shortfalls of the two clauses at the violated index; the back index
+        # j is in [1, n] because a vacuous back clause cannot fail
+        u = sorted(range(n), key=lambda v: (out_counts[v], v))[i - 1]
+        out_short = ceil(first(i)) - out_counts[u]
+        j = ceil(back(i))
+        w = sorted(range(n), key=lambda v: (in_counts[v], v))[j - 1]
+        in_short = (n - i) - in_counts[w]
 
         if out_short >= in_short:
             target = next(
                 (v for v in range(n) if v != u and v not in out_sets[u]), None
             )
             if target is not None:
-                out_sets[u].add(target)
+                add(u, target)
             elif not add_any_missing():
-                break  # complete digraph; checker must hold next pass
+                break  # complete digraph; the check below must hold
         else:
             source = next(
                 (v for v in range(n) if v != w and w not in out_sets[v]), None
             )
             if source is not None:
-                out_sets[source].add(w)
+                add(source, w)
             elif not add_any_missing():
                 break
-    g = current()
+    g = Digraph(n, [(u, v) for u in range(n) for v in sorted(out_sets[u])])
     if check_semi_exact(g, beta).holds:
         return g
     raise GenerationError(f"repair loop cap ({cap}) exhausted at n={n}, beta={beta}")

@@ -31,10 +31,6 @@ _SAMPLES = 10_000
 _RETRY_CAP = 100
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _ceil_times_sqrt(coeff: int, eps: Fraction, m: int) -> int:
     """Smallest integer t with t >= coeff * sqrt(eps) * m, computed exactly.
 
@@ -69,12 +65,6 @@ class Pair:
     def edge_count(self) -> int:
         b_set = set(self.b)
         return sum(1 for u in self.a for v in self.host.out_adj[u] if v in b_set)
-
-    def degree_into_b(self, u: int) -> int:
-        return len(self.host.out_sets[u] & set(self.b))
-
-    def degree_from_a(self, v: int) -> int:
-        return len(self.host.in_sets[v] & set(self.a))
 
     def adjacency_matrix(self) -> np.ndarray:
         mat = np.zeros((len(self.a), len(self.b)), dtype=np.int64)
@@ -179,8 +169,8 @@ def _exhaustive_regularity(p: Pair, eps: Fraction) -> RegularityVerdict:
     na, nb = len(p.a), len(p.b)
     dens = density(p)
     mat = p.adjacency_matrix()
-    min_x = max(1, _ceil_frac(eps * na))
-    min_y = max(1, _ceil_frac(eps * nb))
+    min_x = max(1, ceil(eps * na))
+    min_y = max(1, ceil(eps * nb))
     worst = Fraction(0)
     witness = None
     cols = np.arange(nb)
@@ -219,8 +209,8 @@ def _sampled_regularity(
     na, nb = len(p.a), len(p.b)
     dens = density(p)
     mat = p.adjacency_matrix()
-    min_x = max(1, _ceil_frac(eps * na))
-    min_y = max(1, _ceil_frac(eps * nb))
+    min_x = max(1, ceil(eps * na))
+    min_y = max(1, ceil(eps * nb))
     rng = np.random.default_rng(seed)
     worst = Fraction(0)
     witness = None
@@ -314,7 +304,7 @@ def regular_pair_matching(p: Pair, eps, super_regular: bool = False):
         raise ParameterError("regular_pair_matching needs |A| = |B|")
     b = p.to_bipartite()
     matching = max_matching(b)
-    required = n if super_regular else _ceil_frac((1 - eps) * n)
+    required = n if super_regular else ceil((1 - eps) * n)
     if matching.size() < required:
         violator = hall_violator(b, n - required)
         raise ContractError(
@@ -345,7 +335,7 @@ def make_super_regular(
     )
     if delta * eps > Fraction(1, 2):
         raise ParameterError(f"need Delta*eps <= 1/2, got {delta * eps}")
-    quota = _ceil_frac(Fraction(delta) * eps * m)
+    quota = ceil(Fraction(delta) * eps * m)
     threshold = (d - eps) * m
     new_clusters = []
     moved: list[int] = []
@@ -439,7 +429,7 @@ def select_ideal(
     if not 0 < theta <= 1:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
     n = max(len(p.a), len(p.b))
-    size = _ceil_frac(theta * n)
+    size = ceil(theta * n)
     if size > min(len(p.a), len(p.b)):
         raise ParameterError("ideal size exceeds a pair side")
     floor = theta * d * n / 4

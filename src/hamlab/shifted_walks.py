@@ -100,8 +100,6 @@ class WalkUsage:
     entrance_uses: Counter
     exit_uses: Counter
     internal_uses: Counter
-    entered: Counter
-    exited: Counter
 
     @property
     def total_uses(self) -> int:
@@ -205,8 +203,6 @@ def account(walks) -> WalkUsage:
         entrance_uses=entrance,
         exit_uses=exit_c,
         internal_uses=internal,
-        entered=Counter(entrance),
-        exited=Counter(exit_c),
     )
 
 
@@ -247,16 +243,12 @@ def disjoint_shifted_walks(
         walk.validate(r)
         chosen.append(walk)
         used_internal |= inner
-    needed = _ceil_frac(c * c * k / 16)
+    needed = ceil(c * c * k / 16)
     if len(chosen) < needed:
         raise ContractError(
             f"only {len(chosen)} disjoint walks found, needed {needed}"
         )
     return chosen
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab import (
+    CHECKERS,
     Digraph,
     ParameterError,
     PreconditionError,
@@ -163,3 +164,55 @@ def test_concluding_example_structure():
         gen_concluding_example(10, Fraction(1, 2))
     with pytest.raises(ParameterError):
         gen_concluding_example(10, Fraction(1, 3))  # a*n not integral
+
+
+_PINNED_GRAPHS = {
+    "cycle8": lambda: Digraph.directed_cycle(8),
+    "chvatal": lambda: gen_extremal_chvatal(10, 4),
+    "concluding": lambda: gen_concluding_example(10, Fraction(1, 5)),
+}
+
+
+def _w(i, d_out, d_in, threshold, clauses=None):
+    """A witness dict in the key order the checkers emit."""
+    witness = {"i": i, "d_out": d_out, "d_in": d_in}
+    if clauses is not None:
+        witness["clause_i"], witness["clause_ii"] = clauses
+    witness["threshold"] = threshold
+    return witness
+
+
+_NO = (False, False)
+
+# (graph, checker) -> (first_violation, witness) at beta = 1/4
+_PINNED = {
+    ("cycle8", "gh"): (1, _w(1, 1, 1, "4")),
+    ("cycle8", "posa"): (1, _w(1, 1, 1, 2)),
+    ("cycle8", "nwc"): (1, _w(1, 1, 1, 2, _NO)),
+    ("cycle8", "semi-exact"): (1, _w(1, 1, 1, "3", _NO)),
+    ("cycle8", "posa-min"): (1, _w(1, 1, 1, "3")),
+    ("cycle8", "kot"): (1, _w(1, 1, 1, "3", _NO)),
+    ("chvatal", "gh"): (1, _w(1, 4, 4, "5")),
+    ("chvatal", "posa"): (4, _w(4, 4, 4, 5)),
+    ("chvatal", "nwc"): (4, _w(4, 4, 4, 5, _NO)),
+    ("chvatal", "semi-exact"): (2, _w(2, 4, 4, "9/2", _NO)),
+    ("chvatal", "posa-min"): (2, _w(2, 4, 4, "9/2")),
+    ("chvatal", "kot"): (2, _w(2, 4, 4, "9/2", _NO)),
+    ("concluding", "gh"): (1, _w(1, 2, 2, "5")),
+    ("concluding", "posa"): (2, _w(2, 2, 2, 3)),
+    ("concluding", "nwc"): (None, {"strongly_connected": False}),
+    ("concluding", "semi-exact"): (1, _w(1, 2, 2, "7/2", _NO)),
+    ("concluding", "posa-min"): (1, _w(1, 2, 2, "7/2")),
+    ("concluding", "kot"): (1, _w(1, 2, 2, "7/2", _NO)),
+}
+
+
+@pytest.mark.parametrize("graph, name", sorted(_PINNED))
+def test_checker_witness_pinned(graph, name):
+    report = CHECKERS[name](_PINNED_GRAPHS[graph](), Fraction(1, 4))
+    first_violation, witness = _PINNED[(graph, name)]
+    assert not report.holds
+    assert report.first_violation == first_violation
+    # key order and the int-vs-string form of threshold are part of to_json()
+    assert list(report.witness.items()) == list(witness.items())
+    assert type(report.witness.get("threshold")) is type(witness.get("threshold"))

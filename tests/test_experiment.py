@@ -126,6 +126,30 @@ def test_cli_usage_errors(runner):
     assert res.exit_code == 2  # ParameterError surfaces as usage
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "edges": [[0, 1], [1', '{"n": 3, "edges": [[0, 1], [1, 1]]}'],
+    ids=["truncated", "self-loop"],
+)
+def test_cli_malformed_input_is_usage_error(runner, tmp_path, text):
+    """Truncated JSON and a self-loop edge exit 2, not with a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    other = tmp_path / "other.json"
+    other.write_text("{}")
+    for args in (
+        ["check", "--condition", "gh", "--input", str(bad)],
+        ["oracle", "--input", str(bad)],
+        ["solve", "--input", str(bad), "--partition", str(other),
+         "--factor", str(other), "--eta", "1/4"],
+        ["gen", "--family", "blowup", "--template", str(bad),
+         "--factor", str(other), "--m", "4", "--density", "1/2"],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output, res.exception)
+        assert res.output.startswith("error: "), args
+
+
 def test_cli_cover_with_trace(runner, tmp_path):
     gpath = tmp_path / "r.json"
     gpath.write_text(Digraph.complete(40).to_json())

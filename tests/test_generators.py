@@ -1,5 +1,6 @@
 """Instance generators: blow-up audit and conditioned random digraphs."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -88,3 +89,21 @@ def test_random_condition_deterministic_and_validated():
         gen_random_condition(14, Fraction(1, 2))
     with pytest.raises(ParameterError):
         gen_random_condition(3, Fraction(1, 4))
+
+
+# sha256 of gen_random_condition(n, 1/4, seed=n).to_json()
+_RANDOM_CONDITION_SHA256 = {
+    12: "56adbe1e9de9c53f325e174b0481094e22df60d9fa7e617532d613dd66a6ff06",
+    13: "678000fb2ddf27c3a0960807605c2d9ff57969acbc3c7afd0948cee7f59f8722",
+    14: "b73b95529b331aad6510ad8912af2c4884fdf6b5ac2676875c11860d4d9bd0b9",
+    15: "06e3eb19a4ebe95f77218702fc74d5d62b865e0f2fad1c6fedabda92263647a4",
+    16: "eb4a1d9139f877f31962ac916ed3b3bfec600f75662ef3af7256c186e2354c26",
+    17: "1353bc2ac1f9c7d123065e63b259f030d929b83cb6114b44922a8dd19ef725ce",
+    18: "b6fcf3b8b90df26c3a84c3b8da1a9c06551dad8d60fc3a64cc290630a46333a5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_RANDOM_CONDITION_SHA256))
+def test_random_condition_output_pinned(n):
+    text = gen_random_condition(n, Fraction(1, 4), seed=n).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _RANDOM_CONDITION_SHA256[n]

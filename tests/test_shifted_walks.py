@@ -114,8 +114,6 @@ def test_account_totals():
     assert usage.total_uses == 2 * (w1.t + w2.t)
     assert sum(usage.entrance_uses.values()) == w1.t + w2.t
     assert sum(usage.exit_uses.values()) == w1.t + w2.t
-    assert usage.entered == usage.entrance_uses
-    assert usage.exited == usage.exit_uses
 
 
 def test_concat():
