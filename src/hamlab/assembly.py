@@ -240,7 +240,6 @@ def build_walk(
     assign: ExceptionalAssignment,
     part: ClusterPartition,
     eta,
-    seed: int = 0,
 ) -> ClusterWalk:
     """Assemble the closed cluster walk with balance, coverage and
     exceptional-visit properties; raises wrong-pipeline when the shifted
@@ -539,7 +538,7 @@ def assemble_hamilton(
             raise ParameterError("every factor cycle must have length >= 4")
     ideals = reserve_ideals(g, part, f, eps, d, seed=seed)
     assign = assign_exceptional(g, part, ideals, seed=seed)
-    walk = build_walk(r2, f, assign, part, eta, seed=seed)
+    walk = build_walk(r2, f, assign, part, eta)
     asm = fix_edges(g, part, walk, ideals, seed=seed)
 
     last_error: Exception | None = None

@@ -199,6 +199,14 @@ def _load_pair(input_path, partition_path, i, j):
 
     g = _load(Digraph.from_json, input_path)
     part = _load(ClusterPartition.from_json, partition_path)
+    if not (0 <= i < part.k and 0 <= j < part.k) or i == j:
+        _fail(
+            ParameterError(
+                f"--i and --j must be distinct cluster indices in [0, {part.k}), "
+                f"got {i} and {j}"
+            ),
+            _EXIT_USAGE,
+        )
     return Pair(g, part.clusters[i], part.clusters[j])
 
 

@@ -1,17 +1,19 @@
 """Density, regularity certification, and regular-pair algorithms.
 
 Densities are exact rationals. Regularity certification has two modes:
-exhaustive (exact, small sides only) and sampled (one-sided: refutations
-carry genuine witnesses, acceptance is only statistical confidence).
+exhaustive and sampled. The exhaustive audit is exact: it evaluates all row
+subsets at once in integer NumPy arithmetic, and since it holds one row per
+subset it stays capped at side 12. Sampled certification is one-sided:
+refutations carry genuine witnesses, acceptance is only statistical
+confidence.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, isqrt, lcm
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .matching import hall_violator, max_matching
 _EXHAUSTIVE_CAP = 12
 _SAMPLES = 10_000
 _RETRY_CAP = 100
+_RESTART_BUDGET = 100
 
 
 def _ceil_times_sqrt(coeff: int, eps: Fraction, m: int) -> int:
@@ -166,41 +169,59 @@ def density(p: Pair) -> Fraction:
 
 
 def _exhaustive_regularity(p: Pair, eps: Fraction) -> RegularityVerdict:
+    """Worst |d(X,Y) - d(A,B)| over all qualifying (X, Y), in integers.
+
+    Every row subset X is one row of a 0/1 selector matrix, so one product
+    gives the column counts of all of them. For each X and size |Y| the
+    extreme Y take the |Y| largest or smallest counts: prefix sums of the
+    counts sorted in descending order (stable, so ties go to the lower
+    column). With e edges, the deviation of the densest Y is
+    hi/(sx*sy*na*nb) with hi = prefix[sy]*na*nb - e*sx*sy, and of the
+    sparsest lo/(sx*sy*na*nb) likewise.
+    """
     na, nb = len(p.a), len(p.b)
-    dens = density(p)
+    density(p)  # rejects an empty side
     mat = p.adjacency_matrix()
+    e = int(mat.sum())
     min_x = max(1, ceil(eps * na))
     min_y = max(1, ceil(eps * nb))
-    worst = Fraction(0)
-    witness = None
-    cols = np.arange(nb)
-    for x_mask in range(1, 1 << na):
-        rows = [i for i in range(na) if x_mask & (1 << i)]
-        sx = len(rows)
-        if sx < min_x:
-            continue
-        col_counts = mat[rows].sum(axis=0)
-        order = np.argsort(-col_counts, kind="stable")
-        sorted_counts = col_counts[order]
-        prefix = np.concatenate(([0], np.cumsum(sorted_counts)))
-        total = int(prefix[-1])
-        for sy in range(min_y, nb + 1):
-            hi = Fraction(int(prefix[sy]), sx * sy)  # densest Y of size sy
-            lo = Fraction(total - int(prefix[nb - sy]), sx * sy)  # sparsest
-            dev = max(hi - dens, dens - lo)
-            if dev > worst:
-                worst = dev
-                if hi - dens >= dens - lo:
-                    y_cols = [int(c) for c in order[:sy]]
-                else:
-                    y_cols = [int(c) for c in order[nb - sy:]]
-                witness = {
-                    "x": [p.a[i] for i in rows],
-                    "y": [p.b[j] for j in sorted(y_cols)],
-                    "deviation": str(dev),
-                }
-    regular = worst < eps
-    return RegularityVerdict("exhaustive", regular, worst, None if regular else witness)
+    masks = np.arange(1, 1 << na, dtype=np.int64)[:, None]
+    select = (masks >> np.arange(na)) & 1  # one row per subset, ascending mask
+    select = select[select.sum(axis=1) >= min_x]
+    sx = select.sum(axis=1)
+    counts = select @ mat
+    order = np.argsort(-counts, axis=1, kind="stable")
+    prefix = np.zeros((len(select), nb + 1), dtype=np.int64)
+    np.cumsum(np.take_along_axis(counts, order, axis=1), axis=1, out=prefix[:, 1:])
+    sy = np.arange(min_y, nb + 1, dtype=np.int64)
+    area = sx[:, None] * sy[None, :]
+    hi = prefix[:, sy] * (na * nb) - e * area
+    lo = e * area - (prefix[:, nb:] - prefix[:, nb - sy]) * (na * nb)
+    num = np.maximum(hi, lo)
+    # Compare the deviations num/(sx*sy*na*nb) exactly: times the common
+    # denominator lcm(1..na)*lcm(1..nb)*na*nb each is the integer
+    # num*(lcm(1..na)/sx)*(lcm(1..nb)/sy) <= na*nb*lcm(1..na)*lcm(1..nb),
+    # at most 144*27720**2 < 2**63 at the side cap of 12. argmax takes the
+    # first maximum in (mask, sy) order: the one a scan that keeps only
+    # strictly worse deviations would report.
+    scale_x = lcm(*range(1, na + 1)) // sx
+    scale_y = lcm(*range(1, nb + 1)) // sy
+    scaled = num * (scale_x[:, None] * scale_y[None, :])
+    row, col = np.unravel_index(int(np.argmax(scaled)), scaled.shape)
+    worst = Fraction(int(num[row, col]), int(area[row, col]) * na * nb)
+    if worst < eps:
+        return RegularityVerdict("exhaustive", True, worst, None)
+    size = int(sy[col])
+    if hi[row, col] >= lo[row, col]:
+        y_cols = order[row, :size]
+    else:
+        y_cols = order[row, nb - size:]
+    witness = {
+        "x": [p.a[i] for i in np.flatnonzero(select[row])],
+        "y": [p.b[j] for j in sorted(int(c) for c in y_cols)],
+        "deviation": str(worst),
+    }
+    return RegularityVerdict("exhaustive", False, worst, witness)
 
 
 def _sampled_regularity(
@@ -447,12 +468,13 @@ def select_ideal(
     )
 
 
-def _cycle_insertion(g: Digraph, rng, deadline: float) -> list[int] | None:
+def _cycle_insertion(g: Digraph, rng, restarts: int) -> list[int] | None:
     """Grow a directed cycle by inserting outside vertices between
-    consecutive cycle vertices; restart on dead ends. Effective on dense
-    digraphs, where a random consecutive pair admits an insertion w.h.p."""
+    consecutive cycle vertices; restart on dead ends, at most ``restarts``
+    times. Effective on dense digraphs, where a random consecutive pair
+    admits an insertion w.h.p."""
     n = g.n
-    while time.monotonic() < deadline:
+    for _ in range(restarts):
         seed_cycle = None
         perm = rng.permutation(n)
         for u in perm:
@@ -477,7 +499,7 @@ def _cycle_insertion(g: Digraph, rng, deadline: float) -> list[int] | None:
         outside = [v for v in range(n) if not on_cycle[v]]
         rng.shuffle(outside)
         progress = True
-        while outside and progress and time.monotonic() < deadline:
+        while outside and progress:
             progress = False
             remaining = []
             for v in outside:
@@ -501,12 +523,13 @@ def _cycle_insertion(g: Digraph, rng, deadline: float) -> list[int] | None:
 
 
 def hamilton_in_super_regular(
-    g: Digraph, eps, d, deadline: float = 10.0, seed: int = 0
+    g: Digraph, eps, d, restarts: int = _RESTART_BUDGET, seed: int = 0
 ) -> HamiltonCertificate:
     """Hamilton cycle in an asserted super-regular digraph.
 
-    Exact subset DP up to n=18; randomized cycle-insertion with restarts
-    above, bounded by the wall-clock deadline.
+    Exact subset DP up to n=18; above, randomized cycle-insertion from at
+    most ``restarts`` fresh starting cycles. The result depends only on
+    ``(g, restarts, seed)``.
     """
     from .oracle import brute_force_hamiltonian
 
@@ -518,10 +541,10 @@ def hamilton_in_super_regular(
             )
         return cert
     rng = np.random.default_rng(seed)
-    order = _cycle_insertion(g, rng, time.monotonic() + deadline)
+    order = _cycle_insertion(g, rng, restarts)
     if order is None:
         raise SearchFailureError(
-            f"no Hamilton cycle found within {deadline}s (n={g.n}); "
+            f"no Hamilton cycle found within {restarts} restarts (n={g.n}); "
             "this does not prove nonexistence"
         )
     cert = HamiltonCertificate(tuple(order))

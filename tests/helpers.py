@@ -118,3 +118,52 @@ def brute_regular(p, eps) -> bool:
                     if abs(Fraction(cnt, xa * yb) - base) >= eps:
                         return False
     return True
+
+
+def reference_exhaustive_regularity(p, eps):
+    """The exhaustive audit as a loop over row subsets in exact rationals.
+
+    For each row subset X in ascending bitmask order, the densest and the
+    sparsest Y of every size come from the column counts sorted in
+    descending order (stable). A strictly larger deviation replaces the
+    current worst, so the first worst (X, |Y|) in scan order is reported.
+    """
+    from fractions import Fraction
+    from math import ceil
+
+    from hamlab.regular_pairs import RegularityVerdict, density
+
+    eps = Fraction(eps)
+    na, nb = len(p.a), len(p.b)
+    dens = density(p)
+    mat = p.adjacency_matrix()
+    min_x = max(1, ceil(eps * na))
+    min_y = max(1, ceil(eps * nb))
+    worst = Fraction(0)
+    witness = None
+    for x_mask in range(1, 1 << na):
+        rows = [i for i in range(na) if x_mask & (1 << i)]
+        sx = len(rows)
+        if sx < min_x:
+            continue
+        col_counts = mat[rows].sum(axis=0)
+        order = np.argsort(-col_counts, kind="stable")
+        prefix = np.concatenate(([0], np.cumsum(col_counts[order])))
+        total = int(prefix[-1])
+        for sy in range(min_y, nb + 1):
+            hi = Fraction(int(prefix[sy]), sx * sy)  # densest Y of size sy
+            lo = Fraction(total - int(prefix[nb - sy]), sx * sy)  # sparsest
+            dev = max(hi - dens, dens - lo)
+            if dev > worst:
+                worst = dev
+                if hi - dens >= dens - lo:
+                    y_cols = [int(c) for c in order[:sy]]
+                else:
+                    y_cols = [int(c) for c in order[nb - sy:]]
+                witness = {
+                    "x": [p.a[i] for i in rows],
+                    "y": [p.b[j] for j in sorted(y_cols)],
+                    "deviation": str(dev),
+                }
+    regular = worst < eps
+    return RegularityVerdict("exhaustive", regular, worst, None if regular else witness)

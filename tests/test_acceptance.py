@@ -201,7 +201,7 @@ def test_criterion_7_merges_coarsen_and_unify():
         )
         ideals = reserve_ideals(g, part, f, eps, d, seed=inst)
         assign = assign_exceptional(g, part, ideals, seed=inst)
-        walk = build_walk(r0, f, assign, part, eta, seed=inst)
+        walk = build_walk(r0, f, assign, part, eta)
         asm = fix_edges(g, part, walk, ideals, seed=inst)
         factor = complete_factor(g, part, f, asm, seed=inst)
         for cycle in f.cycles:

@@ -70,7 +70,7 @@ def test_build_walk_balance_and_coverage():
     g, part, f, r0 = _instance(v0=2, seed=3)
     ideals = reserve_ideals(g, part, f, EPS, D, seed=3)
     assign = assign_exceptional(g, part, ideals, seed=3)
-    walk = build_walk(r0, f, assign, part, ETA, seed=3)
+    walk = build_walk(r0, f, assign, part, ETA)
     counts = walk.visit_counts()
     assert all(counts[x] >= 1 for x in range(part.k))
     for cycle in f.cycles:
@@ -86,14 +86,14 @@ def test_build_walk_wrong_pipeline_gate():
     ideals = reserve_ideals(g, part, f, EPS, Fraction(2, 5), seed=0)
     assign = assign_exceptional(g, part, ideals, seed=0)
     with pytest.raises(WrongPipelineError):
-        build_walk(r0, f, assign, part, ETA, seed=0)
+        build_walk(r0, f, assign, part, ETA)
 
 
 def test_fix_edges_realizes_every_walk_edge():
     g, part, f, r0 = _instance(v0=1, seed=4)
     ideals = reserve_ideals(g, part, f, EPS, D, seed=4)
     assign = assign_exceptional(g, part, ideals, seed=4)
-    walk = build_walk(r0, f, assign, part, ETA, seed=4)
+    walk = build_walk(r0, f, assign, part, ETA)
     asm = fix_edges(g, part, walk, ideals, seed=4)
     asm.ledger.validate(f)
     for u, v in asm.fixed_succ.items():
@@ -113,7 +113,7 @@ def test_complete_factor_extends_fixed_edges():
     g, part, f, r0 = _instance(v0=1, seed=5)
     ideals = reserve_ideals(g, part, f, EPS, D, seed=5)
     assign = assign_exceptional(g, part, ideals, seed=5)
-    walk = build_walk(r0, f, assign, part, ETA, seed=5)
+    walk = build_walk(r0, f, assign, part, ETA)
     asm = fix_edges(g, part, walk, ideals, seed=5)
     factor = complete_factor(g, part, f, asm, seed=5)
     assert sorted(factor.succ) == list(range(g.n))  # a permutation
@@ -127,7 +127,7 @@ def test_merge_coarsens_and_unifies():
     g, part, f, r0 = _instance(v0=1, seed=6)
     ideals = reserve_ideals(g, part, f, EPS, D, seed=6)
     assign = assign_exceptional(g, part, ideals, seed=6)
-    walk = build_walk(r0, f, assign, part, ETA, seed=6)
+    walk = build_walk(r0, f, assign, part, ETA)
     asm = fix_edges(g, part, walk, ideals, seed=6)
     factor = complete_factor(g, part, f, asm, seed=6)
     for cycle in f.cycles:

@@ -150,6 +150,27 @@ def test_cli_malformed_input_is_usage_error(runner, tmp_path, text):
         assert res.output.startswith("error: "), args
 
 
+@pytest.mark.parametrize(
+    "i, j", [(99, 1), (-1, 0), (0, 0)], ids=["too-large", "negative", "same"]
+)
+@pytest.mark.parametrize("verb", ["certify", "matching"])
+def test_cli_pair_index_out_of_range_is_usage_error(runner, tmp_path, i, j, verb):
+    """--i/--j outside [0, k) or equal exit 2 instead of a traceback or a
+    silently wrapped index."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(Digraph.complete(8).to_json())
+    ppath = tmp_path / "p.json"
+    clusters = [[0, 1], [2, 3], [4, 5], [6, 7]]
+    ppath.write_text(json.dumps({"v0": [], "clusters": clusters}))
+    res = runner.invoke(
+        main,
+        ["pairs", verb, "--input", str(gpath), "--partition", str(ppath),
+         "--i", str(i), "--j", str(j), "--eps", "2/5"],
+    )
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.output.startswith("error: ")
+
+
 def test_cli_cover_with_trace(runner, tmp_path):
     gpath = tmp_path / "r.json"
     gpath.write_text(Digraph.complete(40).to_json())

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamlab import ContractError, Digraph, OneFactor, ParameterError
+from hamlab import ContractError, Digraph, OneFactor, ParameterError, SearchFailureError
 from hamlab.regular_pairs import (
     ClusterPartition,
     Pair,
@@ -24,7 +26,7 @@ from hamlab.regular_pairs import (
     sample_hypergeometric,
     select_ideal,
 )
-from helpers import brute_regular
+from helpers import brute_regular, reference_exhaustive_regularity
 
 
 def _random_pair(na, nb, p, seed, base=0):
@@ -57,6 +59,65 @@ def test_exhaustive_certifier_matches_definition():
         for eps in (Fraction(1, 3), Fraction(1, 2)):
             verdict = certify_regular(p, eps, mode="exhaustive")
             assert verdict.regular == brute_regular(p, eps), (seed, eps)
+
+
+def _pair_from_mask(mask):
+    na, nb = mask.shape
+    a = tuple(range(na))
+    b = tuple(range(na, na + nb))
+    edges = [(a[i], b[j]) for i, j in zip(*np.nonzero(mask))]
+    return Pair(Digraph(na + nb, edges), a, b)
+
+
+def _audit_corpus():
+    """Seeded adjacency masks: 12x12, unequal sides, sides of 1, and
+    variants with empty rows and with rows that miss half of B."""
+    rng = np.random.default_rng(44)
+    shapes = [(12, 12), (12, 12), (3, 11), (12, 5), (7, 2), (1, 12), (12, 1),
+              (1, 1), (5, 9), (9, 4)]
+    for na, nb in shapes:
+        mask = rng.random((na, nb)) < rng.uniform(0.2, 0.95)
+        yield mask
+        empty_rows = mask.copy()
+        empty_rows[: (na + 1) // 2] = False
+        yield empty_rows
+        half_rows = mask.copy()
+        half_rows[:, nb // 2:] = False
+        yield half_rows
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 10), Fraction(1, 3), Fraction(2, 5)], ids=str
+)
+def test_exhaustive_audit_equals_reference_loop(eps):
+    """The batched integer audit returns the verdict of the rational loop
+    over row subsets, worst deviation and witness included."""
+    outcomes = set()
+    for mask in _audit_corpus():
+        p = _pair_from_mask(mask)
+        verdict = certify_regular(p, eps, mode="exhaustive")
+        assert verdict == reference_exhaustive_regularity(p, eps), mask.tolist()
+        outcomes.add(verdict.regular)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]),
+)
+def test_exhaustive_audit_matches_definition_small(na, nb, p, seed, eps):
+    pair = _random_pair(na, nb, p, seed)
+    verdict = certify_regular(pair, eps, mode="exhaustive")
+    assert verdict.regular == brute_regular(pair, eps)
+    if not verdict.regular:
+        x, y = verdict.witness["x"], verdict.witness["y"]
+        cnt = sum(1 for u in x for v in y if pair.host.has_edge(u, v))
+        dev = abs(Fraction(cnt, len(x) * len(y)) - density(pair))
+        assert dev == verdict.worst_deviation
 
 
 def test_exhaustive_witness_reverifies():
@@ -159,6 +220,19 @@ def test_hamilton_in_super_regular_exact_and_heuristic():
     from hamlab import verify_hamilton_cycle
 
     assert verify_hamilton_cycle(g2, cert2)
+
+
+def test_hamilton_in_super_regular_restart_budget_is_deterministic():
+    rng = np.random.default_rng(1)
+    n = 40
+    mask = rng.random((n, n)) < 0.6
+    np.fill_diagonal(mask, False)
+    g = Digraph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))])
+    eps, d = Fraction(1, 4), Fraction(1, 2)
+    first = hamilton_in_super_regular(g, eps, d, seed=7)
+    assert hamilton_in_super_regular(g, eps, d, seed=7) == first
+    with pytest.raises(SearchFailureError):
+        hamilton_in_super_regular(g, eps, d, restarts=0, seed=7)
 
 
 def _blowup_partition(k, m, p, seed):
