@@ -1,15 +1,23 @@
 """Exact matching, cover, 1-factor, disjoint-path and connectivity kernels.
 
 Maximum matching uses Hopcroft-Karp (layered BFS phases, O(E sqrt(V))).
-Minimum covers come from the Koenig construction on the final matching.
-Vertex-disjoint paths use unit-capacity max-flow on the split digraph.
-All tie-breaking is by vertex order, so results are reproducible.
+Minimum covers come from the Koenig construction on that matching, so a
+Hall query runs Hopcroft-Karp once.
+
+Vertex-disjoint paths use unit-capacity max-flow on the split digraph, but
+only where the common-neighbour certificate does not already settle the
+pair: the arc xy, if present, and the paths x -> w -> y, one per w in
+N+(x) & N-(y), are internally disjoint, so the Menger value of (x, y) is at
+least |N+(x) & N-(y)| + [xy in E]. A separator search builds one split
+network per digraph and resets its capacities for each pair that needs a
+flow. All tie-breaking is by vertex order, so results are reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import ceil
 
 from .digraph import BipartiteGraph, Digraph, OneFactor
 from .errors import ParameterError, PreconditionError
@@ -114,17 +122,19 @@ def max_matching(b: BipartiteGraph) -> Matching:
     return Matching(pairs)
 
 
-def min_cover(b: BipartiteGraph) -> Cover:
-    """A minimum vertex cover, of size equal to the maximum matching.
-
-    Koenig construction: with Z the set of vertices reachable by alternating
-    paths from unmatched A-vertices, the cover is (A \\ Z) | (B & Z).
-    """
-    hk = _HopcroftKarp(b)
-    adj = hk.adj
+def _koenig_cover(b: BipartiteGraph, matching: Matching) -> Cover:
+    """Koenig construction on a maximum matching: with Z the set of vertices
+    reachable by alternating paths from unmatched A-vertices, the cover is
+    (A \\ Z) | (B & Z)."""
+    pair_b = [-1] * b.b_size
+    matched_a = [False] * b.a_size
+    for a, bb in matching.pairs:
+        pair_b[bb] = a
+        matched_a[a] = True
+    adj = b.adj()
     visited_a = [False] * b.a_size
     visited_b = [False] * b.b_size
-    queue = deque(a for a in range(b.a_size) if hk.pair_a[a] == -1)
+    queue = deque(a for a in range(b.a_size) if not matched_a[a])
     for a in queue:
         visited_a[a] = True
     while queue:
@@ -132,7 +142,7 @@ def min_cover(b: BipartiteGraph) -> Cover:
         for bb in adj[a]:
             if not visited_b[bb]:
                 visited_b[bb] = True
-                nxt = hk.pair_b[bb]
+                nxt = pair_b[bb]
                 if nxt != -1 and not visited_a[nxt]:
                     visited_a[nxt] = True
                     queue.append(nxt)
@@ -141,17 +151,30 @@ def min_cover(b: BipartiteGraph) -> Cover:
     return Cover(a_side, b_side)
 
 
-def hall_violator(b: BipartiteGraph, defect: int = 0) -> set[int] | None:
-    """A set S in A with |N(S)| < |S| - defect, or None if none exists.
+def min_cover(b: BipartiteGraph) -> Cover:
+    """A minimum vertex cover, of size equal to the maximum matching."""
+    return _koenig_cover(b, max_matching(b))
 
-    Extracted from the Koenig cover: if the maximum matching falls short of
-    |A| - defect, then S = A \\ (cover & A) violates the defect-Hall bound.
+
+def matching_or_violator(
+    b: BipartiteGraph, defect: int = 0
+) -> tuple[Matching, set[int] | None]:
+    """A maximum matching, and a set S in A with |N(S)| < |S| - defect when
+    the matching falls short of |A| - defect (else None).
+
+    One Hopcroft-Karp run: S = A \\ (cover & A) for the Koenig cover of
+    that same matching.
     """
     matching = max_matching(b)
     if matching.size() >= b.a_size - defect:
-        return None
-    cover = min_cover(b)
-    return set(range(b.a_size)) - set(cover.a_side)
+        return matching, None
+    cover = _koenig_cover(b, matching)
+    return matching, set(range(b.a_size)) - set(cover.a_side)
+
+
+def hall_violator(b: BipartiteGraph, defect: int = 0) -> set[int] | None:
+    """A set S in A with |N(S)| < |S| - defect, or None if none exists."""
+    return matching_or_violator(b, defect)[1]
 
 
 def defect_hall_matching(b: BipartiteGraph, defect: int) -> Matching:
@@ -160,10 +183,9 @@ def defect_hall_matching(b: BipartiteGraph, defect: int) -> Matching:
     The caller asserts |N(S)| >= |S| - defect for all S in A; when that is
     checkably false the violating S is raised as the error payload.
     """
-    matching = max_matching(b)
-    if matching.size() >= b.a_size - defect:
+    matching, violator = matching_or_violator(b, defect)
+    if violator is None:
         return matching
-    violator = hall_violator(b, defect)
     raise PreconditionError(
         f"defect-Hall condition fails: |S|={len(violator)} has "
         f"|N(S)| < |S| - {defect} for S={sorted(violator)}"
@@ -195,15 +217,12 @@ def find_one_factor(j: Digraph) -> FactorCertificate:
     in-copies) corresponds exactly to a 1-factor; the violator comes from
     the Koenig cover when the matching is imperfect.
     """
-    gamma = _doubled_bipartite(j)
-    matching = max_matching(gamma)
-    if matching.size() == j.n:
+    matching, violator = matching_or_violator(_doubled_bipartite(j))
+    if violator is None:
         succ = [-1] * j.n
         for a, b in matching.pairs:
             succ[a] = b
         return FactorCertificate(factor=OneFactor(succ, host=j))
-    violator = hall_violator(gamma, 0)
-    assert violator is not None
     return FactorCertificate(violator=frozenset(violator))
 
 
@@ -284,10 +303,22 @@ def _split_network(g: Digraph, x: int, y: int) -> _UnitFlow:
     return net
 
 
+def _menger_lower_bound(g: Digraph, x: int, y: int) -> int:
+    """Internally disjoint x->y paths known without a flow: the arc xy, if
+    present, and x -> w -> y for each common neighbour w."""
+    return len(g.out_sets[x] & g.in_sets[y]) + g.has_edge(x, y)
+
+
 def vertex_menger_value(g: Digraph, x: int, y: int, limit: float = INF) -> int:
-    """Max number of internally disjoint x->y paths (infinite if edge xy)."""
+    """Max number of internally disjoint x->y paths, counted up to ``limit``.
+
+    A direct arc xy counts as one path, so in the complete digraph on n
+    vertices every pair has value n - 1.
+    """
     if x == y:
         raise ParameterError("endpoints must differ")
+    if 0 < limit <= _menger_lower_bound(g, x, y):
+        return ceil(limit)
     net = _split_network(g, x, y)
     return net.max_flow(2 * x + 1, 2 * y, limit)
 
@@ -295,12 +326,17 @@ def vertex_menger_value(g: Digraph, x: int, y: int, limit: float = INF) -> int:
 def internally_disjoint_paths(
     g: Digraph, x: int, y: int, count: int
 ) -> list[list[int]]:
-    """Up to ``count`` directed x->y paths sharing only x and y.
+    """Up to ``count`` directed x->y paths sharing only x and y, sorted.
 
     Returns as many as exist if fewer than ``count`` are available.
     """
     if x == y:
         raise ParameterError("endpoints must differ")
+    short = [[x, y]] if g.has_edge(x, y) else []
+    short += [[x, w, y] for w in sorted(g.out_sets[x] & g.in_sets[y])]
+    if 0 <= count <= len(short):
+        # the flow's BFS augments along these shortest paths first, in order
+        return sorted(short[:count])
     net = _split_network(g, x, y)
     flow = net.max_flow(2 * x + 1, 2 * y, count)
     # decompose the flow into paths by walking saturated forward edges
@@ -383,14 +419,26 @@ def find_separator(g: Digraph, k: int) -> set[int] | None:
     """A separator of size < k if one exists, else None.
 
     The separator comes from the min vertex cut of the first nonadjacent
-    pair whose Menger value falls below k.
+    pair whose Menger value falls below k. Pairs with at least k common
+    neighbours are certified without a flow; the others share one split
+    network, whose capacities are reset for each pair.
     """
     if not is_strongly_connected(g):
         # a disconnected digraph is separated by the empty set
         if g.n > 1:
             return set()
+    net = None
     for x, y in _nonadjacent_pairs(g):
-        net = _split_network(g, x, y)
+        if _menger_lower_bound(g, x, y) >= k:
+            continue
+        if net is None:
+            # No endpoints: the same network serves every nonadjacent pair.
+            # Flow never re-enters the source's in-copy nor leaves the
+            # sink's out-copy, so the endpoints' split capacities change
+            # neither the flow nor the residual source side.
+            net = _split_network(g, -1, -1)
+            caps = net.cap[:]
+        net.cap[:] = caps
         flow = net.max_flow(2 * x + 1, 2 * y, k)
         if flow < k:
             side = net.source_side(2 * x + 1)

@@ -26,7 +26,7 @@ from .errors import (
     ScaleError,
     SearchFailureError,
 )
-from .matching import hall_violator, max_matching
+from .matching import matching_or_violator
 
 _EXHAUSTIVE_CAP = 12
 _SAMPLES = 10_000
@@ -324,10 +324,9 @@ def regular_pair_matching(p: Pair, eps, super_regular: bool = False):
     if len(p.b) != n:
         raise ParameterError("regular_pair_matching needs |A| = |B|")
     b = p.to_bipartite()
-    matching = max_matching(b)
     required = n if super_regular else ceil((1 - eps) * n)
-    if matching.size() < required:
-        violator = hall_violator(b, n - required)
+    matching, violator = matching_or_violator(b, n - required)
+    if violator is not None:
         raise ContractError(
             f"matching size {matching.size()} below required {required}: "
             "the regularity assertion on this pair is false",

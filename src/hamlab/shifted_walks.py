@@ -223,8 +223,8 @@ def disjoint_shifted_walks(
     h = build_H(r, f)
     k = h.n
     ck = ceil(c * k)
-    if not is_strongly_k_connected(h, ck):
-        sep = find_separator(h, ck)
+    sep = find_separator(h, ck)
+    if sep is not None or h.n <= ck:
         raise ContractError(
             f"shifted digraph is not strongly {ck}-connected",
             witness=sorted(sep) if sep is not None else None,

@@ -1,16 +1,26 @@
 """Shared brute-force reference implementations for the test suite.
 
-Everything here is deliberately naive; the point is independence from
-the package's own algorithms.
+The brute-force helpers are deliberately naive; the point is independence
+from the package's own algorithms. The ``reference_*`` functions are the
+package's simpler earlier implementations (an exact loop, a flow per pair,
+a fresh Hopcroft-Karp run per query), kept as the outputs that the faster
+code must reproduce exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from hamlab import BipartiteGraph, Digraph
+from hamlab.matching import (
+    _HopcroftKarp,
+    _nonadjacent_pairs,
+    _split_network,
+    is_strongly_connected,
+)
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -68,9 +78,15 @@ def exhaustive_hall_factor_exists(g: Digraph) -> bool:
 
 
 def brute_vertex_menger(g: Digraph, x: int, y: int) -> int:
-    """Minimum x-y separator size by exhaustive subset search (small n)."""
+    """Maximum number of internally disjoint x->y paths (small n).
+
+    For a nonadjacent pair this is the minimum x-y separator size, found
+    by exhaustive subset search. An arc xy is one path on its own and meets
+    no other, so an adjacent pair has one more than the pair in g - xy.
+    """
     if g.has_edge(x, y):
-        raise ValueError("undefined for adjacent pairs")
+        rest = Digraph(g.n, [e for e in g.edges() if e != (x, y)])
+        return 1 + brute_vertex_menger(rest, x, y)
     others = [v for v in range(g.n) if v not in (x, y)]
 
     def reaches(removed: set[int]) -> bool:
@@ -167,3 +183,86 @@ def reference_exhaustive_regularity(p, eps):
                 }
     regular = worst < eps
     return RegularityVerdict("exhaustive", regular, worst, None if regular else witness)
+
+
+def reference_hall_violator(b: BipartiteGraph, defect: int = 0):
+    """The defect-Hall violator read off a Hopcroft-Karp run's own state:
+    the A-vertices reachable by alternating paths from unmatched ones."""
+    hk = _HopcroftKarp(b)
+    if hk.pair_a.count(-1) <= defect:
+        return None
+    visited_a = [hk.pair_a[a] == -1 for a in range(b.a_size)]
+    visited_b = [False] * b.b_size
+    queue = deque(a for a in range(b.a_size) if visited_a[a])
+    while queue:
+        a = queue.popleft()
+        for bb in hk.adj[a]:
+            if not visited_b[bb]:
+                visited_b[bb] = True
+                nxt = hk.pair_b[bb]
+                if nxt != -1 and not visited_a[nxt]:
+                    visited_a[nxt] = True
+                    queue.append(nxt)
+    return {a for a in range(b.a_size) if visited_a[a]}
+
+
+def reference_vertex_menger_value(g: Digraph, x: int, y: int, limit=float("inf")) -> int:
+    """Unit-capacity flow on a split network built for this pair alone."""
+    net = _split_network(g, x, y)
+    return net.max_flow(2 * x + 1, 2 * y, limit)
+
+
+def reference_strong_connectivity(g: Digraph) -> int:
+    """One flow per nonadjacent pair, each on its own split network."""
+    if not is_strongly_connected(g):
+        return 0
+    best = g.n - 1
+    for x, y in _nonadjacent_pairs(g):
+        best = min(best, reference_vertex_menger_value(g, x, y, best))
+        if best == 0:
+            break
+    return best
+
+
+def reference_find_separator(g: Digraph, k: int):
+    """The min cut of the first nonadjacent pair whose flow falls below k,
+    with the split network rebuilt for every pair and no certificate."""
+    if not is_strongly_connected(g) and g.n > 1:
+        return set()
+    for x, y in _nonadjacent_pairs(g):
+        net = _split_network(g, x, y)
+        flow = net.max_flow(2 * x + 1, 2 * y, k)
+        if flow < k:
+            side = net.source_side(2 * x + 1)
+            return {
+                v for v in range(g.n) if 2 * v in side and 2 * v + 1 not in side
+            }
+    return None
+
+
+def reference_internally_disjoint_paths(g: Digraph, x: int, y: int, count: int):
+    """Decompose a flow of up to ``count`` units on the pair's own split
+    network into paths, following flow-carrying arcs in edge order."""
+    net = _split_network(g, x, y)
+    flow = net.max_flow(2 * x + 1, 2 * y, count)
+    used_edge = [False] * len(net.to)
+    succ_of = [
+        [e for e in net.head[u] if e % 2 == 0 and net.cap[e ^ 1] > 0]
+        for u in range(2 * g.n)
+    ]
+    paths = []
+    for _ in range(flow):
+        path = [x]
+        node = 2 * x + 1
+        while node != 2 * y:
+            eid = next(e for e in succ_of[node] if not used_edge[e])
+            used_edge[eid] = True
+            node = net.to[eid]
+            if node % 2 == 0 and node != 2 * y:
+                path.append(node // 2)
+                eid = next(e for e in succ_of[node] if not used_edge[e])
+                used_edge[eid] = True
+                node = net.to[eid]
+        path.append(y)
+        paths.append(path)
+    return paths

@@ -20,6 +20,7 @@ from hamlab import (
     strong_connectivity,
     vertex_menger_value,
 )
+from hamlab.matching import _doubled_bipartite
 from helpers import (
     brute_max_matching,
     brute_vertex_menger,
@@ -27,6 +28,11 @@ from helpers import (
     exhaustive_hall_factor_exists,
     random_bipartite,
     random_digraph,
+    reference_find_separator,
+    reference_hall_violator,
+    reference_internally_disjoint_paths,
+    reference_strong_connectivity,
+    reference_vertex_menger_value,
 )
 
 
@@ -151,3 +157,94 @@ def test_find_separator():
     rest = g.remove_vertices(sep)
     assert not is_strongly_connected(rest)
     assert find_separator(Digraph.complete(5), 3) is None
+
+
+def test_hall_queries_equal_reference_on_imperfect_doubled_graphs():
+    imperfect = 0
+    for seed in range(300):
+        n = 4 + seed % 11
+        g = random_digraph(n, 0.08 + 0.3 * (seed % 7) / 6, seed)
+        gamma = _doubled_bipartite(g)
+        expected = reference_hall_violator(gamma, 0)
+        cert = find_one_factor(g)
+        if expected is None:
+            assert cert.factor is not None
+            continue
+        imperfect += 1
+        assert cert.violator == frozenset(expected)
+        for defect in range(3):
+            assert hall_violator(gamma, defect) == reference_hall_violator(
+                gamma, defect
+            )
+    assert imperfect >= 100
+
+
+@given(st.integers(2, 7), st.floats(0.1, 0.95), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_menger_value_matches_brute_force_all_pairs(n, p, seed):
+    g = random_digraph(n, p, seed)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            value = brute_vertex_menger(g, x, y)
+            assert vertex_menger_value(g, x, y) == value
+            for limit in range(1, n):
+                assert vertex_menger_value(g, x, y, limit) == min(value, limit)
+            assert len(internally_disjoint_paths(g, x, y, n)) == value
+
+
+def test_complete_digraph_counts_direct_arc_as_one_path():
+    k4 = Digraph.complete(4)
+    assert vertex_menger_value(k4, 0, 1) == 3
+    assert internally_disjoint_paths(k4, 0, 1, 3) == [[0, 1], [0, 2, 1], [0, 3, 1]]
+    assert internally_disjoint_paths(k4, 0, 1, 1) == [[0, 1]]
+    assert strong_connectivity(k4) == 3
+
+
+def _circulant(n: int, d: int) -> Digraph:
+    return Digraph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("n, d", [(9, 2), (11, 3), (13, 4)])
+def test_circulant_pairs_need_the_flow(n, d):
+    # (0, 2d) has the single common neighbour d but Menger value d
+    g = _circulant(n, d)
+    assert len(g.out_sets[0] & g.in_sets[2 * d]) == 1
+    assert vertex_menger_value(g, 0, 2 * d) == d
+    paths = internally_disjoint_paths(g, 0, 2 * d, d)
+    assert paths == reference_internally_disjoint_paths(g, 0, 2 * d, d)
+    assert len(paths) == d
+    assert find_separator(g, d) is None
+    sep = find_separator(g, d + 1)
+    assert sep == reference_find_separator(g, d + 1)
+    assert len(sep) == d
+    assert not is_strongly_connected(g.remove_vertices(sep))
+    assert strong_connectivity(g) == d
+
+
+def test_menger_kernels_equal_per_pair_flow_reference():
+    with_separator = 0
+    cases = 600
+    for seed in range(cases):
+        n = 3 + seed % 18
+        g = random_digraph(n, 0.2 + 0.77 * ((seed * 37) % 100) / 99, seed)
+        k = 1 + (seed * 7) % n
+        sep = find_separator(g, k)
+        assert sep == reference_find_separator(g, k)
+        with_separator += sep is not None
+        assert is_strongly_k_connected(g, k) == (n > k and sep is None)
+        if seed % 4 == 0:
+            assert strong_connectivity(g) == reference_strong_connectivity(g)
+        x, y = seed % n, (seed * 5 + 1) % n
+        if x == y:
+            y = (y + 1) % n
+        count = 1 + (seed * 3) % n
+        assert vertex_menger_value(g, x, y) == reference_vertex_menger_value(g, x, y)
+        assert vertex_menger_value(g, x, y, count) == reference_vertex_menger_value(
+            g, x, y, count
+        )
+        assert internally_disjoint_paths(
+            g, x, y, count
+        ) == reference_internally_disjoint_paths(g, x, y, count)
+    assert with_separator >= cases // 3

@@ -13,6 +13,7 @@ from hamlab import (
     UnreachableError,
     WrongPipelineError,
     degree_sequences,
+    find_separator,
     is_strongly_k_connected,
 )
 from hamlab.shifted_walks import (
@@ -149,8 +150,9 @@ def test_disjoint_walks_contract():
 def test_disjoint_walks_connectivity_gate():
     r = Digraph.directed_cycle(12)
     f = OneFactor.from_cycles(12, [list(range(12))])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError) as info:
         disjoint_shifted_walks(r, f, 0, 5, Fraction(2, 5))
+    assert info.value.witness == sorted(find_separator(build_H(r, f), 5))
 
 
 def _two_block_h(k, seed=0, cross=True):
