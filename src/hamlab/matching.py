@@ -8,16 +8,15 @@ Vertex-disjoint paths use unit-capacity max-flow on the split digraph, but
 only where the common-neighbour certificate does not already settle the
 pair: the arc xy, if present, and the paths x -> w -> y, one per w in
 N+(x) & N-(y), are internally disjoint, so the Menger value of (x, y) is at
-least |N+(x) & N-(y)| + [xy in E]. A separator search builds one split
-network per digraph and resets its capacities for each pair that needs a
-flow. All tie-breaking is by vertex order, so results are reproducible.
+least |N+(x) & N-(y)| + [xy in E]. The separator search and the path
+search use this certificate; the Menger value itself is always a flow.
+All tie-breaking is by vertex order, so results are reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import ceil
 
 from .digraph import BipartiteGraph, Digraph, OneFactor
 from .errors import ParameterError, PreconditionError
@@ -317,8 +316,6 @@ def vertex_menger_value(g: Digraph, x: int, y: int, limit: float = INF) -> int:
     """
     if x == y:
         raise ParameterError("endpoints must differ")
-    if 0 < limit <= _menger_lower_bound(g, x, y):
-        return ceil(limit)
     net = _split_network(g, x, y)
     return net.max_flow(2 * x + 1, 2 * y, limit)
 
@@ -420,25 +417,16 @@ def find_separator(g: Digraph, k: int) -> set[int] | None:
 
     The separator comes from the min vertex cut of the first nonadjacent
     pair whose Menger value falls below k. Pairs with at least k common
-    neighbours are certified without a flow; the others share one split
-    network, whose capacities are reset for each pair.
+    neighbours are certified without a flow.
     """
     if not is_strongly_connected(g):
         # a disconnected digraph is separated by the empty set
         if g.n > 1:
             return set()
-    net = None
     for x, y in _nonadjacent_pairs(g):
         if _menger_lower_bound(g, x, y) >= k:
             continue
-        if net is None:
-            # No endpoints: the same network serves every nonadjacent pair.
-            # Flow never re-enters the source's in-copy nor leaves the
-            # sink's out-copy, so the endpoints' split capacities change
-            # neither the flow nor the residual source side.
-            net = _split_network(g, -1, -1)
-            caps = net.cap[:]
-        net.cap[:] = caps
+        net = _split_network(g, x, y)
         flow = net.max_flow(2 * x + 1, 2 * y, k)
         if flow < k:
             side = net.source_side(2 * x + 1)
