@@ -420,18 +420,7 @@ def complete_factor(
         ]
         perm = rng.permutation(len(left))
         left = [left[i] for i in perm]
-        from .digraph import BipartiteGraph
-
-        b_index = {v: j for j, v in enumerate(right)}
-        edges = [
-            (i, b_index[w])
-            for i, u in enumerate(left)
-            for w in g.out_adj[u]
-            if w in b_index
-        ]
-        matching = max_matching(
-            BipartiteGraph.from_edges(len(left), len(right), edges)
-        )
+        matching = max_matching(Pair(g, tuple(left), tuple(right)).to_bipartite())
         if matching.size() < len(left):
             raise ContractError(
                 f"no perfect matching on the residual factor edge ({u_idx},{v_idx})",

@@ -8,8 +8,11 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from math import ceil
+
+import numpy as np
 
 from .errors import MalformedCertificateError, ParameterError
 
@@ -332,33 +335,55 @@ def distances_on_factor(f: OneFactor, x: int, y: int) -> set[int]:
     return {forward, length - forward}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Bipartite graph with classes A (size a_size) and B (size b_size)."""
+    """Bipartite graph with classes A (size a_size) and B (size b_size).
+
+    The edges are stored once, as a CSR biadjacency over A: the B-neighbours
+    of vertex a are ``indices[indptr[a]:indptr[a + 1]]``, sorted ascending
+    without repeats. ``from_edges`` validates an edge list into this form;
+    the constructor and ``from_rows`` take rows already in it.
+    """
 
     a_size: int
     b_size: int
-    edges: frozenset = field(default_factory=frozenset)
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < self.a_size and 0 <= b < self.b_size):
-                raise ParameterError(f"bipartite edge ({a},{b}) out of range")
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
 
     @classmethod
     def from_edges(cls, a_size: int, b_size: int, edges) -> "BipartiteGraph":
-        edge_list = list(edges)
-        edge_set = frozenset(edge_list)
-        if len(edge_set) != len(edge_list):
+        if a_size < 0 or b_size < 0:
+            raise ParameterError(f"class sizes {a_size}, {b_size} must be nonnegative")
+        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ParameterError("bipartite edges must be (a, b) pairs")
+        a, b = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((a < 0) | (a >= a_size) | (b < 0) | (b >= b_size))
+        if bad.size:
+            u, v = pairs[bad[0]].tolist()
+            raise ParameterError(f"bipartite edge ({u},{v}) out of range")
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        if ((a[1:] == a[:-1]) & (b[1:] == b[:-1])).any():
             raise ParameterError("duplicate bipartite edge")
-        return cls(a_size, b_size, edge_set)
+        indptr = np.zeros(a_size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a, minlength=a_size), out=indptr[1:])
+        return cls(a_size, b_size, indptr, b)
 
-    def adj(self) -> list[list[int]]:
-        """Sorted adjacency lists for the A side."""
-        result: list[list[int]] = [[] for _ in range(self.a_size)]
-        for a, b in sorted(self.edges):
-            result[a].append(b)
-        return result
+    @classmethod
+    def from_rows(cls, b_size: int, rows) -> "BipartiteGraph":
+        """A-vertex a adjacent to rows[a], each row sorted without repeats
+        (as a Digraph's ``out_adj`` is); the rows are not re-validated."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        return cls(len(rows), b_size, indptr, indices)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.indices)

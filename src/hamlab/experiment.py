@@ -89,23 +89,44 @@ class ExperimentReport:
         return buf.getvalue()
 
 
+def _param(p: dict, key: str, parse):
+    """``parse(p[key])``, with a missing key or a malformed value raised as
+    a ParameterError."""
+    if key not in p:
+        raise ParameterError(f"missing parameter {key!r}")
+    try:
+        return parse(p[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"malformed parameter {key}={p[key]!r}: {exc}") from exc
+
+
+def _fraction(value) -> Fraction:
+    return Fraction(str(value))
+
+
 def _generate(spec: InstanceSpec) -> Digraph:
     p = spec.parameters
     if spec.generator == "extremal_chvatal":
-        return gen_extremal_chvatal(int(p["n"]), int(p["k"]))
+        return gen_extremal_chvatal(_param(p, "n", int), _param(p, "k", int))
     if spec.generator == "concluding":
-        return gen_concluding_example(int(p["n"]), Fraction(str(p["a"])))
+        return gen_concluding_example(_param(p, "n", int), _param(p, "a", _fraction))
     if spec.generator == "random_condition":
         from .generators import gen_random_condition
 
-        return gen_random_condition(int(p["n"]), Fraction(str(p["beta"])), spec.seed)
+        return gen_random_condition(
+            _param(p, "n", int), _param(p, "beta", _fraction), spec.seed
+        )
     raise ParameterError(
         "blowup instances carry partitions; run them through the solve pipeline"
     )
 
 
 def run_instance(spec: InstanceSpec) -> dict:
-    """One generate -> check -> oracle pass; errors are recorded, not raised."""
+    """One generate -> check -> oracle pass.
+
+    A HamlabError (bad parameters included) is recorded, not raised; any
+    other exception, such as a failed oracle check, is a bug and propagates.
+    """
     record: dict = {
         "generator": spec.generator,
         "seed": spec.seed,
@@ -121,7 +142,7 @@ def run_instance(spec: InstanceSpec) -> dict:
     try:
         g = _generate(spec)
         record["n"] = g.n
-        beta = Fraction(str(spec.parameters.get("beta", "1/4")))
+        beta = _param({"beta": "1/4", **spec.parameters}, "beta", _fraction)
         for name, checker in CHECKERS.items():
             record[name] = checker(g, beta).holds
         if g.n <= 20:
@@ -131,7 +152,7 @@ def run_instance(spec: InstanceSpec) -> dict:
             if cert is not None and not verify_hamilton_cycle(g, cert):
                 raise AssertionError("oracle emitted a bad certificate")
             record["oracle"] = cert is not None
-    except (HamlabError, AssertionError, KeyError, ValueError) as exc:
+    except HamlabError as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
     record["wall_time_s"] = round(time.monotonic() - start, 6)
     return record

@@ -1,8 +1,11 @@
 """Exact matching, cover, 1-factor, disjoint-path and connectivity kernels.
 
-Maximum matching uses Hopcroft-Karp (layered BFS phases, O(E sqrt(V))).
-Minimum covers come from the Koenig construction on that matching, so a
-Hall query runs Hopcroft-Karp once.
+A bipartite graph is a CSR biadjacency over its A side, and maximum
+matching is ``scipy.sparse.csgraph.maximum_bipartite_matching`` on that
+CSR (Hopcroft-Karp, O(E sqrt(V))). Minimum covers come from the Koenig
+construction on that matching, so a Hall query runs one matching. The
+doubled graph of a digraph, whose perfect matchings are its 1-factors, is
+the digraph's out-adjacency read as a CSR.
 
 Vertex-disjoint paths use unit-capacity max-flow on the split digraph, but
 only where the common-neighbour certificate does not already settle the
@@ -17,6 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import BipartiteGraph, Digraph, OneFactor
 from .errors import ParameterError, PreconditionError
@@ -45,100 +52,33 @@ class Cover:
         return len(self.a_side) + len(self.b_side)
 
 
-class _HopcroftKarp:
-    def __init__(self, b: BipartiteGraph):
-        self.adj = b.adj()
-        self.na = b.a_size
-        self.nb = b.b_size
-        self.pair_a = [-1] * self.na
-        self.pair_b = [-1] * self.nb
-        self.dist = [0] * self.na
-        self._run()
-
-    def _bfs(self) -> bool:
-        queue = deque()
-        for a in range(self.na):
-            if self.pair_a[a] == -1:
-                self.dist[a] = 0
-                queue.append(a)
-            else:
-                self.dist[a] = INF
-        found = False
-        while queue:
-            a = queue.popleft()
-            for b in self.adj[a]:
-                nxt = self.pair_b[b]
-                if nxt == -1:
-                    found = True
-                elif self.dist[nxt] is INF:
-                    self.dist[nxt] = self.dist[a] + 1
-                    queue.append(nxt)
-        return found
-
-    def _dfs(self, root: int) -> bool:
-        # iterative DFS: stack of (a, iterator index into adj[a])
-        stack = [(root, 0)]
-        path: list[tuple[int, int]] = []  # (a, b) tentative augmenting edges
-        while stack:
-            a, idx = stack.pop()
-            advanced = False
-            while idx < len(self.adj[a]):
-                b = self.adj[a][idx]
-                idx += 1
-                nxt = self.pair_b[b]
-                if nxt == -1:
-                    path.append((a, b))
-                    for pa, pb in path:
-                        self.pair_a[pa] = pb
-                        self.pair_b[pb] = pa
-                    return True
-                if self.dist[nxt] == self.dist[a] + 1:
-                    stack.append((a, idx))
-                    path.append((a, b))
-                    stack.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                self.dist[a] = INF
-                if path and path[-1][0] != a and stack:
-                    # backtrack: drop the tentative edge leading into a
-                    path.pop()
-        return False
-
-    def _run(self):
-        while self._bfs():
-            for a in range(self.na):
-                if self.pair_a[a] == -1:
-                    self._dfs(a)
-
-
 def max_matching(b: BipartiteGraph) -> Matching:
-    """A maximum matching (certified maximum by the companion Koenig cover)."""
-    hk = _HopcroftKarp(b)
-    pairs = tuple(
-        (a, hk.pair_a[a]) for a in range(b.a_size) if hk.pair_a[a] != -1
+    """A maximum matching (certified maximum by the companion Koenig cover),
+    listed by ascending A-vertex."""
+    graph = csr_array(
+        (np.ones(len(b.indices), dtype=np.int8), b.indices, b.indptr),
+        shape=(b.a_size, b.b_size),
     )
-    return Matching(pairs)
+    mate = maximum_bipartite_matching(graph, perm_type="column")
+    matched = np.flatnonzero(mate >= 0)
+    return Matching(tuple(zip(matched.tolist(), mate[matched].tolist())))
 
 
 def _koenig_cover(b: BipartiteGraph, matching: Matching) -> Cover:
     """Koenig construction on a maximum matching: with Z the set of vertices
     reachable by alternating paths from unmatched A-vertices, the cover is
-    (A \\ Z) | (B & Z)."""
+    (A \\ Z) | (B & Z). Z is the same for every maximum matching."""
+    indptr, indices = b.indptr.tolist(), b.indices.tolist()
     pair_b = [-1] * b.b_size
-    matched_a = [False] * b.a_size
+    visited_a = [True] * b.a_size
     for a, bb in matching.pairs:
         pair_b[bb] = a
-        matched_a[a] = True
-    adj = b.adj()
-    visited_a = [False] * b.a_size
+        visited_a[a] = False
     visited_b = [False] * b.b_size
-    queue = deque(a for a in range(b.a_size) if not matched_a[a])
-    for a in queue:
-        visited_a[a] = True
+    queue = deque(a for a in range(b.a_size) if visited_a[a])
     while queue:
         a = queue.popleft()
-        for bb in adj[a]:
+        for bb in indices[indptr[a] : indptr[a + 1]]:
             if not visited_b[bb]:
                 visited_b[bb] = True
                 nxt = pair_b[bb]
@@ -161,7 +101,7 @@ def matching_or_violator(
     """A maximum matching, and a set S in A with |N(S)| < |S| - defect when
     the matching falls short of |A| - defect (else None).
 
-    One Hopcroft-Karp run: S = A \\ (cover & A) for the Koenig cover of
+    One matching run: S = A \\ (cover & A) for the Koenig cover of
     that same matching.
     """
     matching = max_matching(b)
@@ -203,20 +143,15 @@ class FactorCertificate:
             raise ParameterError("exactly one of factor/violator must be present")
 
 
-def _doubled_bipartite(j: Digraph) -> BipartiteGraph:
-    return BipartiteGraph.from_edges(
-        j.n, j.n, ((u, v) for u in range(j.n) for v in j.out_adj[u])
-    )
-
-
 def find_one_factor(j: Digraph) -> FactorCertificate:
     """A 1-factor of j, or a set S with |N+(S)| < |S| when none exists.
 
     A perfect matching in the doubled bipartite graph (out-copies vs
-    in-copies) corresponds exactly to a 1-factor; the violator comes from
-    the Koenig cover when the matching is imperfect.
+    in-copies, whose biadjacency is j's out-adjacency) corresponds exactly
+    to a 1-factor; the violator comes from the Koenig cover when the
+    matching is imperfect.
     """
-    matching, violator = matching_or_violator(_doubled_bipartite(j))
+    matching, violator = matching_or_violator(BipartiteGraph.from_rows(j.n, j.out_adj))
     if violator is None:
         succ = [-1] * j.n
         for a, b in matching.pairs:

@@ -80,14 +80,11 @@ class Pair:
         return mat
 
     def to_bipartite(self) -> BipartiteGraph:
-        b_index = {v: j for j, v in enumerate(self.b)}
-        edges = [
-            (i, b_index[v])
-            for i, u in enumerate(self.a)
-            for v in self.host.out_adj[u]
-            if v in b_index
-        ]
-        return BipartiteGraph.from_edges(len(self.a), len(self.b), edges)
+        """The pair's edges, with row i for a[i] and column j for b[j]."""
+        mat = self.adjacency_matrix()
+        indptr = np.zeros(len(self.a) + 1, dtype=np.int64)
+        np.cumsum(mat.sum(axis=1), out=indptr[1:])
+        return BipartiteGraph(len(self.a), len(self.b), indptr, np.nonzero(mat)[1])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 The brute-force helpers are deliberately naive; the point is independence
 from the package's own algorithms. The ``reference_*`` functions are the
 package's simpler earlier implementations (an exact loop, a flow per pair,
-a fresh Hopcroft-Karp run per query), kept as the outputs that the faster
-code must reproduce exactly.
+a pure-Python Hopcroft-Karp), kept as the outputs that the faster code must
+reproduce exactly. A maximum matching itself may differ from the reference
+one; its size, Koenig cover and Hall violator may not.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import numpy as np
 
 from hamlab import BipartiteGraph, Digraph
 from hamlab.matching import (
-    _HopcroftKarp,
+    Cover,
+    Matching,
     _nonadjacent_pairs,
     _split_network,
     is_strongly_connected,
 )
+
+INF = float("inf")
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -38,9 +42,20 @@ def random_bipartite(na: int, nb: int, p: float, seed: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(na, nb, edges)
 
 
+def bipartite_rows(b: BipartiteGraph) -> list[list[int]]:
+    """The B-neighbours of each A-vertex, read off the CSR."""
+    return [
+        b.indices[b.indptr[a] : b.indptr[a + 1]].tolist() for a in range(b.a_size)
+    ]
+
+
+def bipartite_edges(b: BipartiteGraph) -> set[tuple[int, int]]:
+    return {(a, bb) for a, row in enumerate(bipartite_rows(b)) for bb in row}
+
+
 def brute_max_matching(b: BipartiteGraph) -> int:
     """Exponential branch-and-bound maximum matching size."""
-    adj = b.adj()
+    adj = bipartite_rows(b)
 
     def rec(i: int, used: frozenset) -> int:
         if i == b.a_size:
@@ -55,7 +70,7 @@ def brute_max_matching(b: BipartiteGraph) -> int:
 
 
 def covers_all_edges(b: BipartiteGraph, a_side, b_side) -> bool:
-    return all(u in a_side or v in b_side for u, v in b.edges)
+    return all(u in a_side or v in b_side for u, v in bipartite_edges(b))
 
 
 def exhaustive_hall_factor_exists(g: Digraph) -> bool:
@@ -185,24 +200,114 @@ def reference_exhaustive_regularity(p, eps):
     return RegularityVerdict("exhaustive", regular, worst, None if regular else witness)
 
 
+class _HopcroftKarp:
+    """Hopcroft-Karp in pure Python: layered BFS phases, then a DFS per free
+    A-vertex along the layers, rows scanned in ascending order."""
+
+    def __init__(self, b: BipartiteGraph):
+        self.adj = bipartite_rows(b)
+        self.na = b.a_size
+        self.nb = b.b_size
+        self.pair_a = [-1] * self.na
+        self.pair_b = [-1] * self.nb
+        self.dist = [0] * self.na
+        self._run()
+
+    def _bfs(self) -> bool:
+        queue = deque()
+        for a in range(self.na):
+            if self.pair_a[a] == -1:
+                self.dist[a] = 0
+                queue.append(a)
+            else:
+                self.dist[a] = INF
+        found = False
+        while queue:
+            a = queue.popleft()
+            for b in self.adj[a]:
+                nxt = self.pair_b[b]
+                if nxt == -1:
+                    found = True
+                elif self.dist[nxt] is INF:
+                    self.dist[nxt] = self.dist[a] + 1
+                    queue.append(nxt)
+        return found
+
+    def _dfs(self, root: int) -> bool:
+        # iterative DFS: stack of (a, iterator index into adj[a])
+        stack = [(root, 0)]
+        path: list[tuple[int, int]] = []  # (a, b) tentative augmenting edges
+        while stack:
+            a, idx = stack.pop()
+            advanced = False
+            while idx < len(self.adj[a]):
+                b = self.adj[a][idx]
+                idx += 1
+                nxt = self.pair_b[b]
+                if nxt == -1:
+                    path.append((a, b))
+                    for pa, pb in path:
+                        self.pair_a[pa] = pb
+                        self.pair_b[pb] = pa
+                    return True
+                if self.dist[nxt] == self.dist[a] + 1:
+                    stack.append((a, idx))
+                    path.append((a, b))
+                    stack.append((nxt, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                self.dist[a] = INF
+                if path and path[-1][0] != a and stack:
+                    # backtrack: drop the tentative edge leading into a
+                    path.pop()
+        return False
+
+    def _run(self):
+        while self._bfs():
+            for a in range(self.na):
+                if self.pair_a[a] == -1:
+                    self._dfs(a)
+
+    def alternating_reach(self) -> tuple[list[bool], list[bool]]:
+        """The A- and B-vertices reachable by alternating paths from the
+        unmatched A-vertices."""
+        visited_a = [self.pair_a[a] == -1 for a in range(self.na)]
+        visited_b = [False] * self.nb
+        queue = deque(a for a in range(self.na) if visited_a[a])
+        while queue:
+            a = queue.popleft()
+            for bb in self.adj[a]:
+                if not visited_b[bb]:
+                    visited_b[bb] = True
+                    nxt = self.pair_b[bb]
+                    if nxt != -1 and not visited_a[nxt]:
+                        visited_a[nxt] = True
+                        queue.append(nxt)
+        return visited_a, visited_b
+
+
+def reference_max_matching(b: BipartiteGraph) -> Matching:
+    hk = _HopcroftKarp(b)
+    return Matching(tuple((a, bb) for a, bb in enumerate(hk.pair_a) if bb != -1))
+
+
+def reference_min_cover(b: BipartiteGraph) -> Cover:
+    """The Koenig cover (A \\ Z) | (B & Z) read off a Hopcroft-Karp run."""
+    visited_a, visited_b = _HopcroftKarp(b).alternating_reach()
+    return Cover(
+        frozenset(a for a in range(b.a_size) if not visited_a[a]),
+        frozenset(bb for bb in range(b.b_size) if visited_b[bb]),
+    )
+
+
 def reference_hall_violator(b: BipartiteGraph, defect: int = 0):
     """The defect-Hall violator read off a Hopcroft-Karp run's own state:
     the A-vertices reachable by alternating paths from unmatched ones."""
     hk = _HopcroftKarp(b)
     if hk.pair_a.count(-1) <= defect:
         return None
-    visited_a = [hk.pair_a[a] == -1 for a in range(b.a_size)]
-    visited_b = [False] * b.b_size
-    queue = deque(a for a in range(b.a_size) if visited_a[a])
-    while queue:
-        a = queue.popleft()
-        for bb in hk.adj[a]:
-            if not visited_b[bb]:
-                visited_b[bb] = True
-                nxt = hk.pair_b[bb]
-                if nxt != -1 and not visited_a[nxt]:
-                    visited_a[nxt] = True
-                    queue.append(nxt)
+    visited_a, _ = hk.alternating_reach()
     return {a for a in range(b.a_size) if visited_a[a]}
 
 

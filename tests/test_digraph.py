@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hamlab import (
     ParameterError,
     degree_sequences,
     distances_on_factor,
+    max_matching,
     verify_hamilton_cycle,
 )
 
@@ -113,4 +115,19 @@ def test_bipartite_duplicate_edge_rejected():
     with pytest.raises(ParameterError):
         BipartiteGraph.from_edges(2, 2, [(0, 1), (0, 1)])
     b = BipartiteGraph.from_edges(2, 3, [(0, 2), (1, 0)])
-    assert b.adj() == [[2], [0]]
+    assert b.indptr.tolist() == [0, 1, 2]
+    assert b.indices.tolist() == [2, 0]
+    for edges in [[(0, 0), (-1, 0)], [(0, -1)], [(2, 0)], [(1, 3)], [(0, 1, 2)]]:
+        with pytest.raises(ParameterError):
+            BipartiteGraph.from_edges(2, 3, edges)
+    # rows are sorted, so the edge order does not reach the matching
+    rng = np.random.default_rng(5)
+    edges = [(a, b) for a in range(9) for b in range(7) if rng.random() < 0.4]
+    b = BipartiteGraph.from_edges(9, 7, edges)
+    expected = max_matching(b).pairs
+    for _ in range(10):
+        shuffled = [edges[i] for i in rng.permutation(len(edges))]
+        again = BipartiteGraph.from_edges(9, 7, shuffled)
+        assert again.indptr.tolist() == b.indptr.tolist()
+        assert again.indices.tolist() == b.indices.tolist()
+        assert max_matching(again).pairs == expected

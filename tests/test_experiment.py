@@ -39,8 +39,31 @@ def test_run_instance_extremal():
 
 
 def test_run_instance_records_errors():
-    rec = run_instance(InstanceSpec("extremal_chvatal", {"n": 10, "k": 5}))
-    assert rec["error"] is not None and "ParameterError" in rec["error"]
+    for params in [
+        {"n": 10, "k": 5},  # rejected by the generator
+        {"n": 10},  # missing key
+        {"n": "ten", "k": 3},  # malformed integer
+        {"n": 10, "k": 3, "beta": "x"},  # malformed fraction
+    ]:
+        rec = run_instance(InstanceSpec("extremal_chvatal", params))
+        assert rec["error"] is not None and "ParameterError" in rec["error"]
+    for generator, params in [
+        ("concluding", {"n": 10, "a": "one fifth"}),
+        ("random_condition", {"n": 12, "beta": "1/0"}),
+    ]:
+        rec = run_instance(InstanceSpec(generator, params))
+        assert rec["error"] is not None and "ParameterError" in rec["error"]
+
+
+def test_run_instance_lets_a_bad_oracle_certificate_propagate(monkeypatch):
+    from hamlab import HamiltonCertificate, oracle
+
+    # the extremal digraph is not Hamiltonian, so no order verifies
+    monkeypatch.setattr(
+        oracle, "brute_force_hamiltonian", lambda g: HamiltonCertificate(tuple(range(g.n)))
+    )
+    with pytest.raises(AssertionError, match="bad certificate"):
+        run_instance(InstanceSpec("extremal_chvatal", {"n": 10, "k": 3}))
 
 
 def test_duplicate_specs_deterministic_modulo_timing():

@@ -20,8 +20,9 @@ from hamlab import (
     strong_connectivity,
     vertex_menger_value,
 )
-from hamlab.matching import _doubled_bipartite
 from helpers import (
+    bipartite_edges,
+    bipartite_rows,
     brute_max_matching,
     brute_vertex_menger,
     covers_all_edges,
@@ -31,6 +32,8 @@ from helpers import (
     reference_find_separator,
     reference_hall_violator,
     reference_internally_disjoint_paths,
+    reference_max_matching,
+    reference_min_cover,
     reference_strong_connectivity,
     reference_vertex_menger_value,
 )
@@ -41,7 +44,7 @@ def _assert_valid_matching(b, m):
     b_used = [bb for _, bb in m.pairs]
     assert len(set(a_used)) == len(a_used)
     assert len(set(b_used)) == len(b_used)
-    assert all((a, bb) in b.edges for a, bb in m.pairs)
+    assert set(m.pairs) <= bipartite_edges(b)
 
 
 @given(
@@ -82,7 +85,7 @@ def test_hall_violator_reverifies():
     b = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 0)])
     s = hall_violator(b)
     assert s is not None
-    nbrs = {j for i in s for j in b.adj()[i]}
+    nbrs = {j for i in s for j in bipartite_rows(b)[i]}
     assert len(nbrs) < len(s)
     # defect 2 tolerates it
     assert hall_violator(b, defect=2) is None
@@ -159,24 +162,39 @@ def test_find_separator():
     assert find_separator(Digraph.complete(5), 3) is None
 
 
+def _assert_equals_reference(b):
+    m = max_matching(b)
+    _assert_valid_matching(b, m)
+    assert m.size() == reference_max_matching(b).size()
+    assert min_cover(b) == reference_min_cover(b)
+    for defect in range(3):
+        assert hall_violator(b, defect) == reference_hall_violator(b, defect)
+
+
 def test_hall_queries_equal_reference_on_imperfect_doubled_graphs():
     imperfect = 0
     for seed in range(300):
         n = 4 + seed % 11
         g = random_digraph(n, 0.08 + 0.3 * (seed % 7) / 6, seed)
-        gamma = _doubled_bipartite(g)
+        gamma = BipartiteGraph.from_edges(n, n, g.edges())
         expected = reference_hall_violator(gamma, 0)
         cert = find_one_factor(g)
+        _assert_equals_reference(gamma)
         if expected is None:
             assert cert.factor is not None
+            assert all(g.has_edge(v, cert.factor.successor(v)) for v in range(n))
             continue
         imperfect += 1
         assert cert.violator == frozenset(expected)
-        for defect in range(3):
-            assert hall_violator(gamma, defect) == reference_hall_violator(
-                gamma, defect
-            )
     assert imperfect >= 100
+    # unequal sides, sparse to dense
+    for seed in range(300):
+        na, nb = 1 + seed % 9, 1 + (seed * 7) % 13
+        p = 0.05 + 0.9 * (seed % 10) / 9
+        _assert_equals_reference(random_bipartite(na, nb, p, seed))
+    # a side of size 0
+    for na, nb in [(0, 0), (0, 4), (4, 0)]:
+        _assert_equals_reference(BipartiteGraph.from_edges(na, nb, []))
 
 
 @given(st.integers(2, 7), st.floats(0.1, 0.95), st.integers(0, 2**32 - 1))
