@@ -32,7 +32,7 @@ from .errors import (
 )
 from .matching import is_strongly_k_connected, max_matching
 from .regular_pairs import ClusterPartition, Pair, select_ideal
-from .shifted_walks import ShiftedWalk, account, build_H, find_shifted_walk, shorten_walk
+from .shifted_walks import ShiftedWalk, build_H, find_shifted_walk, shorten_walk
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,6 @@ class ClusterWalk:
 
     def visit_counts(self) -> Counter:
         return Counter(self.expansion())
-
-    def usage(self):
-        return account(list(self.walks))
 
 
 def _covering_walk(r2: Digraph, f: OneFactor, start: int, end: int) -> ShiftedWalk:
@@ -487,7 +484,7 @@ def merge_at_cluster(
         for w in g.out_adj[fu]:
             if w in right_set and w != u:
                 edges.append((index[u], index[w]))
-    j = Digraph(len(right), sorted(set(edges)))
+    j = Digraph(len(right), edges)
     cert = brute_force_hamiltonian(j)
     if cert is None:
         raise SearchFailureError(
@@ -522,6 +519,11 @@ def assemble_hamilton(
     attempts: int = 8,
 ) -> HamiltonCertificate:
     """Full pipeline; the output always passes Hamilton-cycle verification."""
+    if f.n != part.k or r2.n != part.k:
+        raise ParameterError(
+            f"factor on {f.n} and reduced digraph on {r2.n} vertices, "
+            f"need one per cluster: {part.k}"
+        )
     for cycle in f.cycles:
         if len(cycle) < 4:
             raise ParameterError("every factor cycle must have length >= 4")

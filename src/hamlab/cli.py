@@ -1,7 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 condition/check negative, 2 usage error,
-3 wrong-pipeline, 4 stage/contract failure.
+Exit codes, one table for every verb:
+
+0  success.
+1  negative: a degree condition or regularity check fails, or the oracle
+   finds no Hamilton cycle.
+2  usage error: a bad option or parameter, a false precondition, an input
+   file that is unreadable, is not valid JSON or describes an invalid
+   object, an unwritable output file, an instance too large for an exact
+   routine, a malformed certificate.
+3  the instance belongs to the other pipeline (connectivity dichotomy).
+4  any other HamlabError: a stage contract failed, a search gave up.
+
+Codes 2-4 print one ``error: ...`` line to stderr. An exception that is
+not a HamlabError is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -21,37 +33,66 @@ from .conditions import (
 )
 from .digraph import Digraph, OneFactor
 from .errors import (
-    ContractError,
     HamlabError,
+    MalformedCertificateError,
     ParameterError,
     PreconditionError,
-    SearchFailureError,
+    ScaleError,
     WrongPipelineError,
 )
 
 _EXIT_NEGATIVE = 1
-_EXIT_USAGE = 2
-_EXIT_WRONG_PIPELINE = 3
-_EXIT_STAGE = 4
+_EXIT_CODES = {
+    HamlabError: 4,
+    ParameterError: 2,
+    PreconditionError: 2,
+    ScaleError: 2,
+    MalformedCertificateError: 2,
+    WrongPipelineError: 3,
+}
+
+
+def exit_code(exc: HamlabError) -> int:
+    """The table code of the most specific class of ``exc``."""
+    return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+
+
+class _Main(click.Group):
+    """A group that turns any HamlabError of its verbs into its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HamlabError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exit_code(exc))
 
 
 def _load(parse, path: str, **kwargs):
     """``parse`` applied to the text of ``path``.
 
-    Input that cannot be read or parsed, or that parses into an invalid
-    object (bad JSON, a missing key, a self-loop edge, ...), is a usage
-    error: exit 2.
+    Input that cannot be read or parsed (bad JSON, a missing key, ...) is
+    a ParameterError; an invalid object (a self-loop edge, ...) raises the
+    parser's own error.
     """
     try:
         return parse(Path(path).read_text(), **kwargs)
-    except (OSError, ValueError, KeyError, ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(str(exc)) from exc
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a ParameterError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 def _emit(ctx, text: str) -> None:
-    output = ctx.obj.get("output")
+    output = ctx.obj["output"]
     if output:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n")
+        _write(output, text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
 
@@ -63,12 +104,7 @@ def _frac(value: str) -> Fraction:
         raise click.UsageError(f"not a rational: {value!r}")
 
 
-def _fail(exc: Exception, code: int):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -100,46 +136,40 @@ def main(ctx, seed, fmt, output, jobs):
 @click.pass_context
 def gen(ctx, family, n, k, a, beta, m, density, v0_count, template, factor):
     """Generate an instance and emit its JSON."""
-    try:
-        if family == "extremal-chvatal":
-            if n is None or k is None:
-                raise click.UsageError("--family extremal-chvatal needs --n and --k")
-            g = gen_extremal_chvatal(n, k)
-            _emit(ctx, g.to_json())
-        elif family == "concluding":
-            if n is None or a is None:
-                raise click.UsageError("--family concluding needs --n and --a")
-            g = gen_concluding_example(n, _frac(a))
-            _emit(ctx, g.to_json())
-        elif family == "random-condition":
-            if n is None or beta is None:
-                raise click.UsageError("--family random-condition needs --n and --beta")
-            from .generators import gen_random_condition
+    if family == "extremal-chvatal":
+        if n is None or k is None:
+            raise click.UsageError("--family extremal-chvatal needs --n and --k")
+        text = gen_extremal_chvatal(n, k).to_json()
+    elif family == "concluding":
+        if n is None or a is None:
+            raise click.UsageError("--family concluding needs --n and --a")
+        text = gen_concluding_example(n, _frac(a)).to_json()
+    elif family == "random-condition":
+        if n is None or beta is None:
+            raise click.UsageError("--family random-condition needs --n and --beta")
+        from .generators import gen_random_condition
 
-            g = gen_random_condition(n, _frac(beta), seed=ctx.obj["seed"])
-            _emit(ctx, g.to_json())
-        else:
-            if not (template and factor and m and density):
-                raise click.UsageError(
-                    "--family blowup needs --template, --factor, --m, --density"
-                )
-            from .generators import gen_blowup
-
-            r0 = _load(Digraph.from_json, template)
-            f0 = _load(OneFactor.from_json, factor, host=r0)
-            g, part, f = gen_blowup(
-                r0, f0, m, _frac(density), v0_count, seed=ctx.obj["seed"]
+        text = gen_random_condition(n, _frac(beta), seed=ctx.obj["seed"]).to_json()
+    else:
+        if not (template and factor and m and density):
+            raise click.UsageError(
+                "--family blowup needs --template, --factor, --m, --density"
             )
-            bundle = {
+        from .generators import gen_blowup
+
+        r0 = _load(Digraph.from_json, template)
+        f0 = _load(OneFactor.from_json, factor, host=r0)
+        g, part, f = gen_blowup(
+            r0, f0, m, _frac(density), v0_count, seed=ctx.obj["seed"]
+        )
+        text = json.dumps(
+            {
                 "graph": json.loads(g.to_json()),
                 "partition": json.loads(part.to_json()),
                 "factor": json.loads(f.to_json()),
             }
-            _emit(ctx, json.dumps(bundle))
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
-    except HamlabError as exc:
-        _fail(exc, _EXIT_STAGE)
+        )
+    _emit(ctx, text)
 
 
 @main.command()
@@ -150,10 +180,7 @@ def gen(ctx, family, n, k, a, beta, m, density, v0_count, template, factor):
 def check(ctx, condition, beta, input_path):
     """Run one degree-condition checker; exit 0 if it holds, 1 otherwise."""
     g = _load(Digraph.from_json, input_path)
-    try:
-        report = CHECKERS[condition](g, None if beta is None else _frac(beta))
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
+    report = CHECKERS[condition](g, None if beta is None else _frac(beta))
     _emit(ctx, report.to_json())
     sys.exit(0 if report.holds else _EXIT_NEGATIVE)
 
@@ -168,30 +195,28 @@ def cover(ctx, input_path, d_value, trace_path):
     from .cycle_cover import cover_by_cycles
 
     g = _load(Digraph.from_json, input_path)
-    try:
-        result = cover_by_cycles(g, _frac(d_value), seed=ctx.obj["seed"])
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
-    except ContractError as exc:
-        _fail(exc, _EXIT_STAGE)
+    result = cover_by_cycles(g, _frac(d_value), seed=ctx.obj["seed"])
     if trace_path:
-        with open(trace_path, "w") as fh:
-            for rec in result.trace:
-                fh.write(json.dumps(rec) + "\n")
-    _emit(
-        ctx,
-        json.dumps(
-            {
-                "cycles": [list(c) for c in result.cycles],
-                "waste": sorted(result.waste),
-            }
-        ),
-    )
+        _write(trace_path, "".join(json.dumps(rec) + "\n" for rec in result.trace))
+    cycles = [list(c) for c in result.cycles]
+    _emit(ctx, json.dumps({"cycles": cycles, "waste": sorted(result.waste)}))
 
 
 @main.group()
 def pairs():
     """Regular-pair certification, matchings and ideals."""
+
+
+def _pair_options(verb):
+    """The --input/--partition/--i/--j options that name a pair."""
+    for option in reversed((
+        click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
+        click.option("--partition", "partition_path", required=True, type=click.Path(exists=True)),
+        click.option("--i", "i_idx", type=int, required=True),
+        click.option("--j", "j_idx", type=int, required=True),
+    )):
+        verb = option(verb)
+    return verb
 
 
 def _load_pair(input_path, partition_path, i, j):
@@ -200,21 +225,15 @@ def _load_pair(input_path, partition_path, i, j):
     g = _load(Digraph.from_json, input_path)
     part = _load(ClusterPartition.from_json, partition_path)
     if not (0 <= i < part.k and 0 <= j < part.k) or i == j:
-        _fail(
-            ParameterError(
-                f"--i and --j must be distinct cluster indices in [0, {part.k}), "
-                f"got {i} and {j}"
-            ),
-            _EXIT_USAGE,
+        raise ParameterError(
+            f"--i and --j must be distinct cluster indices in [0, {part.k}), "
+            f"got {i} and {j}"
         )
     return Pair(g, part.clusters[i], part.clusters[j])
 
 
 @pairs.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--partition", "partition_path", required=True, type=click.Path(exists=True))
-@click.option("--i", "i_idx", type=int, required=True)
-@click.option("--j", "j_idx", type=int, required=True)
+@_pair_options
 @click.option("--eps", required=True)
 @click.option("--d", "d_value", default=None, help="Adds the super-regularity floors.")
 @click.option(
@@ -227,15 +246,13 @@ def certify(ctx, input_path, partition_path, i_idx, j_idx, eps, d_value, mode):
     from .regular_pairs import certify_regular, certify_super_regular
 
     pair = _load_pair(input_path, partition_path, i_idx, j_idx)
-    try:
-        if d_value is None:
-            verdict = certify_regular(pair, _frac(eps), mode=mode, seed=ctx.obj["seed"])
-        else:
-            verdict = certify_super_regular(
-                pair, _frac(eps), _frac(d_value), mode=mode, seed=ctx.obj["seed"]
-            )
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
+    if d_value is None:
+        verdict = certify_regular(pair, _frac(eps), mode=mode, seed=ctx.obj["seed"])
+    else:
+        verdict = certify_super_regular(
+            pair, _frac(eps), _frac(d_value), mode=mode, seed=ctx.obj["seed"]
+        )
+    witness = {k: str(v) for k, v in verdict.witness.items()} if verdict.witness else None
     _emit(
         ctx,
         json.dumps(
@@ -243,9 +260,7 @@ def certify(ctx, input_path, partition_path, i_idx, j_idx, eps, d_value, mode):
                 "mode": verdict.mode,
                 "regular": verdict.regular,
                 "worst_deviation": str(verdict.worst_deviation),
-                "witness": {k: str(v) for k, v in (verdict.witness or {}).items()}
-                if verdict.witness
-                else None,
+                "witness": witness,
             }
         ),
     )
@@ -253,10 +268,7 @@ def certify(ctx, input_path, partition_path, i_idx, j_idx, eps, d_value, mode):
 
 
 @pairs.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--partition", "partition_path", required=True, type=click.Path(exists=True))
-@click.option("--i", "i_idx", type=int, required=True)
-@click.option("--j", "j_idx", type=int, required=True)
+@_pair_options
 @click.option("--eps", required=True)
 @click.option("--super", "super_regular", is_flag=True, default=False)
 @click.pass_context
@@ -265,19 +277,13 @@ def matching(ctx, input_path, partition_path, i_idx, j_idx, eps, super_regular):
     from .regular_pairs import regular_pair_matching
 
     pair = _load_pair(input_path, partition_path, i_idx, j_idx)
-    try:
-        result = regular_pair_matching(pair, _frac(eps), super_regular=super_regular)
-    except ContractError as exc:
-        _fail(exc, _EXIT_STAGE)
+    result = regular_pair_matching(pair, _frac(eps), super_regular=super_regular)
     edges = sorted((pair.a[i], pair.b[j]) for i, j in result.pairs)
     _emit(ctx, json.dumps({"edges": edges}))
 
 
 @pairs.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--partition", "partition_path", required=True, type=click.Path(exists=True))
-@click.option("--i", "i_idx", type=int, required=True)
-@click.option("--j", "j_idx", type=int, required=True)
+@_pair_options
 @click.option("--theta", required=True)
 @click.option("--eps", required=True)
 @click.option("--d", "d_value", required=True)
@@ -287,14 +293,9 @@ def ideal(ctx, input_path, partition_path, i_idx, j_idx, theta, eps, d_value):
     from .regular_pairs import select_ideal
 
     pair = _load_pair(input_path, partition_path, i_idx, j_idx)
-    try:
-        a_star, b_star = select_ideal(
-            pair, _frac(theta), _frac(eps), _frac(d_value), seed=ctx.obj["seed"]
-        )
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
-    except HamlabError as exc:
-        _fail(exc, _EXIT_STAGE)
+    a_star, b_star = select_ideal(
+        pair, _frac(theta), _frac(eps), _frac(d_value), seed=ctx.obj["seed"]
+    )
     _emit(ctx, json.dumps({"a_star": sorted(a_star), "b_star": sorted(b_star)}))
 
 
@@ -315,21 +316,13 @@ def solve(ctx, input_path, partition_path, factor_path, eta, eps, d_value, cert_
     g = _load(Digraph.from_json, input_path)
     part = _load(ClusterPartition.from_json, partition_path)
     f = _load(OneFactor.from_json, factor_path)
-    try:
-        r2 = build_reduced(g, part, _frac(eps), _frac(d_value), seed=ctx.obj["seed"]).base
-        cert = assemble_hamilton(
-            g, part, f, r2, _frac(eta), _frac(eps), _frac(d_value),
-            seed=ctx.obj["seed"],
-        )
-    except (ParameterError, PreconditionError) as exc:
-        _fail(exc, _EXIT_USAGE)
-    except WrongPipelineError as exc:
-        _fail(exc, _EXIT_WRONG_PIPELINE)
-    except (ContractError, SearchFailureError, HamlabError) as exc:
-        _fail(exc, _EXIT_STAGE)
+    r2 = build_reduced(g, part, _frac(eps), _frac(d_value), seed=ctx.obj["seed"]).base
+    cert = assemble_hamilton(
+        g, part, f, r2, _frac(eta), _frac(eps), _frac(d_value), seed=ctx.obj["seed"]
+    )
     text = cert.to_json()
     if cert_path:
-        Path(cert_path).write_text(text + "\n")
+        _write(cert_path, text + "\n")
     _emit(ctx, text)
 
 
@@ -340,11 +333,7 @@ def oracle(ctx, input_path):
     """Exact Hamiltonicity oracle; exit 0 Hamiltonian, 1 not."""
     from .oracle import brute_force_hamiltonian
 
-    g = _load(Digraph.from_json, input_path)
-    try:
-        cert = brute_force_hamiltonian(g)
-    except HamlabError as exc:
-        _fail(exc, _EXIT_USAGE)
+    cert = brute_force_hamiltonian(_load(Digraph.from_json, input_path))
     if cert is None:
         _emit(ctx, json.dumps({"hamiltonian": False, "order": None}))
         sys.exit(_EXIT_NEGATIVE)
@@ -358,15 +347,9 @@ def experiment(ctx, spec_path):
     """Run a campaign from a JSON list of instance specs."""
     from .experiment import run_experiment
 
-    try:
-        specs = _load(json.loads, spec_path)
-        report = run_experiment(specs, parallelism=ctx.obj["jobs"])
-    except (ParameterError, ValueError, KeyError) as exc:
-        _fail(exc, _EXIT_USAGE)
-    if ctx.obj["format"] == "csv":
-        _emit(ctx, report.to_csv())
-    else:
-        _emit(ctx, report.to_json())
+    specs = _load(json.loads, spec_path)
+    report = run_experiment(specs, parallelism=ctx.obj["jobs"])
+    _emit(ctx, report.to_csv() if ctx.obj["format"] == "csv" else report.to_json())
 
 
 if __name__ == "__main__":

@@ -59,11 +59,14 @@ class InstanceSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InstanceSpec":
-        return cls(
-            generator=obj["generator"],
-            parameters=dict(obj.get("parameters", {})),
-            seed=int(obj.get("seed", 0)),
-        )
+        if not isinstance(obj, dict) or "generator" not in obj:
+            raise ParameterError(f"a spec is an object with a 'generator', got {obj!r}")
+        parameters, seed = obj.get("parameters", {}), obj.get("seed", 0)
+        if not isinstance(parameters, dict) or type(seed) is not int:
+            raise ParameterError(
+                f"a spec needs object parameters and an integer seed, got {obj!r}"
+            )
+        return cls(obj["generator"], dict(parameters), seed)
 
 
 @dataclass
@@ -159,6 +162,8 @@ def run_instance(spec: InstanceSpec) -> dict:
 
 
 def run_experiment(specs, parallelism: int = 1) -> ExperimentReport:
+    if not isinstance(specs, list):
+        raise ParameterError(f"specs must be a list, got {type(specs).__name__}")
     specs = [
         s if isinstance(s, InstanceSpec) else InstanceSpec.from_json_obj(s)
         for s in specs

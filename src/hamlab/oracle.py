@@ -111,16 +111,14 @@ def max_cycle_cover_coverage(g: Digraph) -> int:
         raise ScaleError(f"cycle-cover oracle capped at n={_COVER_CAP}, got {n}")
     if n == 0:
         return 0
-    big = float(n + 1)
-    cost = np.full((n, n), big)
-    np.fill_diagonal(cost, 0.0)
+    cost = np.full((n, n), n + 1, dtype=np.int64)
+    np.fill_diagonal(cost, 0)
     for u in range(n):
-        for v in g.out_adj[u]:
-            cost[u, v] = -1.0
+        cost[u, list(g.out_adj[u])] = -1
     rows, cols = linear_sum_assignment(cost)
-    total = cost[rows, cols].sum()
+    total = int(cost[rows, cols].sum())
     assert total <= 0, "assignment used a forbidden slot"
-    return int(round(-total))
+    return -total
 
 
 def shortest_path(g: Digraph, x: int, y: int) -> list[int]:

@@ -354,30 +354,40 @@ def make_super_regular(
         raise ParameterError(f"need Delta*eps <= 1/2, got {delta * eps}")
     quota = ceil(Fraction(delta) * eps * m)
     threshold = (d - eps) * m
+
+    def low(i: int, v: int) -> bool:
+        return any(
+            len(g.out_sets[v] & set(part.clusters[j])) < threshold
+            for j in h.out_adj[i]
+        ) or any(
+            len(g.in_sets[v] & set(part.clusters[j])) < threshold
+            for j in h.in_adj[i]
+        )
+
+    return _move_quota_to_v0(
+        part, quota, low, "low-degree", "regularity assertion false"
+    )
+
+
+def _move_quota_to_v0(
+    part: ClusterPartition, quota: int, is_bad, kind: str, verdict: str
+) -> ClusterPartition:
+    """Move exactly ``quota`` vertices of each cluster into V0.
+
+    Every vertex v of cluster i with ``is_bad(i, v)`` moves; the quota is
+    topped up with the lowest-id vertices. A cluster with more than
+    ``quota`` bad vertices raises a ContractError whose witness lists them.
+    """
     new_clusters = []
     moved: list[int] = []
     for i, cluster in enumerate(part.clusters):
-        low: list[int] = []
-        for v in cluster:
-            bad = False
-            for j in h.out_adj[i]:
-                if len(g.out_sets[v] & set(part.clusters[j])) < threshold:
-                    bad = True
-                    break
-            if not bad:
-                for j in h.in_adj[i]:
-                    if len(g.in_sets[v] & set(part.clusters[j])) < threshold:
-                        bad = True
-                        break
-            if bad:
-                low.append(v)
-        if len(low) > quota:
+        bad = [v for v in cluster if is_bad(i, v)]
+        if len(bad) > quota:
             raise ContractError(
-                f"cluster {i} has {len(low)} low-degree vertices, quota {quota}: "
-                "regularity assertion false",
-                witness=low,
+                f"cluster {i} has {len(bad)} {kind} vertices, quota {quota}: {verdict}",
+                witness=bad,
             )
-        drop = set(low)
+        drop = set(bad)
         for v in cluster:
             if len(drop) >= quota:
                 break
@@ -601,39 +611,25 @@ def prune_atypical(
         for i in range(k)
     ]
     cluster_sets = [set(c) for c in part.clusters]
-    new_clusters = []
-    moved: list[int] = []
-    for i, cluster in enumerate(part.clusters):
-        atypical: list[int] = []
-        for v in cluster:
-            bad_out = 0
-            for j in dense_out[i]:
-                deg = len(g.out_sets[v] & cluster_sets[j])
-                dxy = r.density_of(i, j)
-                if not dxy * m / 2 <= deg <= 3 * dxy * m / 2:
-                    bad_out += 1
-            bad_in = 0
-            for j in dense_in[i]:
-                deg = len(g.in_sets[v] & cluster_sets[j])
-                dxy = r.density_of(j, i)
-                if not dxy * m / 2 <= deg <= 3 * dxy * m / 2:
-                    bad_in += 1
-            if bad_out > slack or bad_in > slack:
-                atypical.append(v)
-        if len(atypical) > quota:
-            raise ContractError(
-                f"cluster {i} has {len(atypical)} atypical vertices, "
-                f"quota {quota}: regularity inputs invalid",
-                witness=atypical,
-            )
-        drop = set(atypical)
-        for v in cluster:
-            if len(drop) >= quota:
-                break
-            drop.add(v)
-        moved.extend(sorted(drop))
-        new_clusters.append(tuple(v for v in cluster if v not in drop))
-    return ClusterPartition(part.v0 + tuple(moved), tuple(new_clusters))
+
+    def atypical(i: int, v: int) -> bool:
+        bad_out = 0
+        for j in dense_out[i]:
+            deg = len(g.out_sets[v] & cluster_sets[j])
+            dxy = r.density_of(i, j)
+            if not dxy * m / 2 <= deg <= 3 * dxy * m / 2:
+                bad_out += 1
+        bad_in = 0
+        for j in dense_in[i]:
+            deg = len(g.in_sets[v] & cluster_sets[j])
+            dxy = r.density_of(j, i)
+            if not dxy * m / 2 <= deg <= 3 * dxy * m / 2:
+                bad_in += 1
+        return bad_out > slack or bad_in > slack
+
+    return _move_quota_to_v0(
+        part, quota, atypical, "atypical", "regularity inputs invalid"
+    )
 
 
 def sample_hypergeometric(n: int, m: int, k: int, seed: int = 0) -> int:

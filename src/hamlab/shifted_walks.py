@@ -336,10 +336,10 @@ def decompose_components(
 
     small_cut = beta * k / 10
     c_small = frozenset(
-        v for v in c if len(set(h.in_adj[v]) & c) <= small_cut
+        v for v in c if len(h.in_sets[v] & c) <= small_cut
     )
     d_small = frozenset(
-        v for v in d if len(set(h.out_adj[v]) & d) <= small_cut
+        v for v in d if len(h.out_sets[v] & d) <= small_cut
     )
     c_prime = c - c_small
     d_prime = d - d_small
@@ -350,8 +350,8 @@ def decompose_components(
     remaining = []
     for v in sorted(s_prime):
         if (
-            len(set(h.out_adj[v]) & c_prime) >= cut
-            and len(set(h.in_adj[v]) & c_prime) >= cut
+            len(h.out_sets[v] & c_prime) >= cut
+            and len(h.in_sets[v] & c_prime) >= cut
         ):
             left.add(v)
         else:
@@ -360,8 +360,8 @@ def decompose_components(
     m_v = set()
     for v in remaining:
         if (
-            len(set(h.out_adj[v]) & d_prime) >= cut
-            and len(set(h.in_adj[v]) & d_prime) >= cut
+            len(h.out_sets[v] & d_prime) >= cut
+            and len(h.in_sets[v] & d_prime) >= cut
         ):
             right.add(v)
         else:
@@ -374,12 +374,12 @@ def decompose_components(
     m_v_lr, m_v_rl = set(), set()
     for v in sorted(m_v):
         lr = (
-            len(set(h.out_adj[v]) & c_prime) < cut
-            and len(set(h.in_adj[v]) & d_prime) < cut
+            len(h.out_sets[v] & c_prime) < cut
+            and len(h.in_sets[v] & d_prime) < cut
         )
         rl = (
-            len(set(h.out_adj[v]) & d_prime) < cut
-            and len(set(h.in_adj[v]) & c_prime) < cut
+            len(h.out_sets[v] & d_prime) < cut
+            and len(h.in_sets[v] & c_prime) < cut
         )
         # the degree dichotomy says exactly one holds; fall back to LR on ties
         if lr or not rl:
@@ -460,10 +460,10 @@ def verify_decomposition_bounds(
         (dec.m_v_rl, (dec.right, dec.left), (dec.left, dec.right)),
     ):
         for v in group:
-            small_out = len(set(h.out_adj[v]) & near[0])
-            small_in = len(set(h.in_adj[v]) & near[1])
-            big_out = len(set(h.out_adj[v]) & far[0])
-            big_in = len(set(h.in_adj[v]) & far[1])
+            small_out = len(h.out_sets[v] & near[0])
+            small_in = len(h.in_sets[v] & near[1])
+            big_out = len(h.out_sets[v] & far[0])
+            big_in = len(h.in_sets[v] & far[1])
             cur = min(
                 cut - small_out - 1,
                 cut - small_in - 1,

@@ -161,3 +161,17 @@ def test_short_factor_cycle_rejected():
     bad = OneFactor.from_cycles(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
     with pytest.raises(ParameterError):
         assemble_hamilton(g, part, bad, r0, ETA, EPS, D)
+
+
+@pytest.mark.parametrize("which", ["factor", "reduced"])
+def test_size_mismatch_rejected(which):
+    """A factor or reduced digraph not on the partition's clusters is a
+    ParameterError naming the sizes, not an IndexError deep inside."""
+    g, part, f, r0 = _instance(seed=0)
+    small = OneFactor.from_cycles(4, [[0, 1, 2, 3]])
+    if which == "factor":
+        f = small
+    else:
+        r0 = Digraph.complete(4)
+    with pytest.raises(ParameterError, match=r"4 .*8"):
+        assemble_hamilton(g, part, f, r0, ETA, EPS, D)

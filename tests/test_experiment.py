@@ -313,3 +313,106 @@ def test_cli_experiment_csv(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert res.output.splitlines()[0] == "# hamlab-report v1"
     assert res.output.count("\n") >= 4
+
+
+def _failure_cases(tmp_path):
+    """Command lines of failures the exit-code table sends to 2, by case id."""
+    g = tmp_path / "g.json"
+    g.write_text(Digraph.complete(8).to_json())
+    big = tmp_path / "big.json"
+    big.write_text(Digraph.complete(28).to_json())
+    big_part = tmp_path / "big_part.json"
+    big_part.write_text(json.dumps({"v0": [], "clusters": [list(range(14)), list(range(14, 28))]}))
+    spec_list = tmp_path / "spec_list.json"
+    spec_list.write_text("[1, 2]")
+    spec_object = tmp_path / "spec_object.json"
+    spec_object.write_text('{"generator": "concluding"}')
+    _, gpath, ppath, _ = _write_blowup(tmp_path)
+    small_factor = tmp_path / "f4.json"
+    small_factor.write_text(OneFactor.from_cycles(4, [[0, 1, 2, 3]]).to_json())
+    wrong_types = tmp_path / "wrong_types.json"
+    wrong_types.write_text('{"n": 3, "edges": 5}')
+    template = tmp_path / "template.json"
+    template.write_text(Digraph.complete(8).to_json())
+    template_factor = tmp_path / "template_factor.json"
+    template_factor.write_text(OneFactor.from_cycles(8, [[0, 1, 2, 3], [4, 5, 6, 7]]).to_json())
+    nowhere = str(tmp_path / "missing" / "x.json")
+    return {
+        "check-output": ["--output", nowhere, "check", "--condition", "gh", "--input", str(g)],
+        "gen-output": ["--output", nowhere, "gen", "--family", "extremal-chvatal",
+                       "--n", "10", "--k", "3"],
+        "cover-trace": ["cover", "--input", str(g), "--d", "1/40", "--trace", nowhere],
+        "certify-too-large": ["pairs", "certify", "--input", str(big), "--partition",
+                              str(big_part), "--i", "0", "--j", "1", "--eps", "2/5",
+                              "--mode", "exhaustive"],
+        "spec-not-objects": ["experiment", "--spec", str(spec_list)],
+        "spec-not-list": ["experiment", "--spec", str(spec_object)],
+        "solve-small-factor": ["solve", "--input", str(gpath), "--partition", str(ppath),
+                               "--factor", str(small_factor), "--eta", "1/4"],
+        "input-wrong-types": ["check", "--condition", "gh", "--input", str(wrong_types)],
+        "gen-clusters-too-large": ["gen", "--family", "blowup", "--template", str(template),
+                                   "--factor", str(template_factor), "--m", "14",
+                                   "--density", "4/5"],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["check-output", "gen-output", "cover-trace", "certify-too-large",
+     "spec-not-objects", "spec-not-list", "solve-small-factor",
+     "input-wrong-types", "gen-clusters-too-large"],
+)
+def test_cli_failure_exits_by_table(runner, tmp_path, case):
+    """Unwritable outputs, oversized exhaustive audits, specs and inputs of
+    the wrong shape and a factor on the wrong number of clusters exit 2
+    with one error line, not a traceback."""
+    res = runner.invoke(main, _failure_cases(tmp_path)[case])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.output.startswith("error: ")
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_exit_code_table_matches_readme():
+    """Every HamlabError class in errors.py maps to its documented code."""
+    import inspect
+
+    from hamlab import errors
+    from hamlab.cli import exit_code
+
+    documented = {
+        "HamlabError": 4,
+        "ParameterError": 2,
+        "PreconditionError": 2,
+        "MalformedCertificateError": 2,
+        "ScaleError": 2,
+        "ContractError": 4,
+        "UnreachableError": 4,
+        "WrongPipelineError": 3,
+        "SearchFailureError": 4,
+        "GenerationError": 4,
+    }
+    classes = {
+        name: cls
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.HamlabError)
+    }
+    assert set(classes) == set(documented)
+    for name, cls in classes.items():
+        assert exit_code(cls("x")) == documented[name], name
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1, {"parameters": {}}, {"generator": "concluding", "seed": "3"},
+     {"generator": "concluding", "seed": True},
+     {"generator": "concluding", "parameters": [1]}],
+    ids=["not-object", "no-generator", "string-seed", "bool-seed", "list-parameters"],
+)
+def test_spec_of_wrong_shape_is_parameter_error(obj):
+    with pytest.raises(ParameterError):
+        InstanceSpec.from_json_obj(obj)
+
+
+def test_spec_document_must_be_a_list():
+    with pytest.raises(ParameterError):
+        run_experiment({"generator": "concluding"})

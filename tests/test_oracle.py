@@ -1,6 +1,7 @@
 """Exact oracles: Hamiltonicity DP vs permutation enumeration, cycle cover."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from hamlab import (
     ScaleError,
     brute_force_hamiltonian,
     enumerate_hamiltonian_permutation,
+    find_one_factor,
     gen_concluding_example,
     gen_extremal_chvatal,
     max_cycle_cover_coverage,
@@ -67,6 +69,36 @@ def test_cycle_cover_concluding_example():
     """
     g = gen_concluding_example(10, Fraction(1, 5))
     assert max_cycle_cover_coverage(g) == 6
+
+
+def _brute_cycle_cover_coverage(g):
+    """Vertices moved by the best permutation whose every move is an edge:
+    its non-fixed points are exactly a set of disjoint cycles of g."""
+    best = 0
+    for perm in permutations(range(g.n)):
+        moved = [v for v in range(g.n) if perm[v] != v]
+        if all(g.has_edge(v, perm[v]) for v in moved):
+            best = max(best, len(moved))
+    return best
+
+
+def test_cycle_cover_vs_brute_force():
+    """Exact integer optimum equals enumeration over partial permutations,
+    on 60 seeded random digraphs with n <= 7."""
+    for seed in range(60):
+        n = 2 + seed % 6
+        g = random_digraph(n, 0.15 + (seed % 5) * 0.15, seed)
+        assert max_cycle_cover_coverage(g) == _brute_cycle_cover_coverage(g), seed
+
+
+def test_cycle_cover_full_iff_one_factor():
+    """Two independent routes agree: full coverage exactly when the
+    matching-based search finds a 1-factor, on 100 digraphs with n <= 16."""
+    for seed in range(100):
+        n = 2 + seed % 15
+        g = random_digraph(n, 0.05 + (seed % 6) * 0.06, 1000 + seed)
+        full = max_cycle_cover_coverage(g) == g.n
+        assert full == (find_one_factor(g).factor is not None), (n, seed)
 
 
 def test_shortest_path():
