@@ -60,7 +60,7 @@ def reserve_ideals(
     per_edge = {}
     for x in range(part.k):
         x_next = f.successor(x)
-        pair = Pair(g, part.clusters[x], part.clusters[x_next])
+        pair = Pair.of(g, part.clusters[x], part.clusters[x_next])
         for pos, theta in enumerate(thetas):
             try:
                 a_star, b_star = select_ideal(pair, theta, eps, d, seed=seed + x)
@@ -417,7 +417,7 @@ def complete_factor(
         ]
         perm = rng.permutation(len(left))
         left = [left[i] for i in perm]
-        matching = max_matching(Pair(g, tuple(left), tuple(right)).to_bipartite())
+        matching = max_matching(Pair.of(g, left, right).to_bipartite())
         if matching.size() < len(left):
             raise ContractError(
                 f"no perfect matching on the residual factor edge ({u_idx},{v_idx})",

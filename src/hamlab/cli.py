@@ -229,7 +229,7 @@ def _load_pair(input_path, partition_path, i, j):
             f"--i and --j must be distinct cluster indices in [0, {part.k}), "
             f"got {i} and {j}"
         )
-    return Pair(g, part.clusters[i], part.clusters[j])
+    return Pair.of(g, part.clusters[i], part.clusters[j])
 
 
 @pairs.command()

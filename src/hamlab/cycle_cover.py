@@ -181,6 +181,13 @@ class PathCyclePartition:
                     raise ParameterError(f"path end {p[-1]} has small outdegree")
 
 
+def _check_d(d) -> Fraction:
+    d = Fraction(d)
+    if d <= 0:
+        raise ParameterError(f"d must be positive, got {d}")
+    return d
+
+
 def partition_cycles_paths(r: Digraph, d) -> PathCyclePartition:
     """Partition V(r) into cycles plus at most ceil(4dk) paths whose
     endpoints have the (1/2 - 2d)k degree guarantees.
@@ -190,7 +197,7 @@ def partition_cycles_paths(r: Digraph, d) -> PathCyclePartition:
     sending edges to all high-indegree vertices, then extracting a
     1-factor and deleting the new vertices.
     """
-    d = Fraction(d)
+    d = _check_d(d)
     k = r.n
     if k == 0:
         return PathCyclePartition((), (), frozenset())
@@ -260,7 +267,7 @@ def cover_by_cycles(
     that holds, with the lowest-index witness. Stops and dumps all paths
     into the waste once S <= 5*sqrt(d)*k.
     """
-    d = Fraction(d)
+    d = _check_d(d)
     k = r.n
     if active_policy not in ("longest", "random"):
         raise ParameterError(f"unknown active policy {active_policy!r}")

@@ -21,11 +21,6 @@ _AUDIT_RETRIES = 100
 _AUDIT_EPS = Fraction(2, 5)
 
 
-def _random_pair_edges(rng, a, b, density: Fraction) -> list[tuple[int, int]]:
-    mask = rng.random((len(a), len(b))) < float(density)
-    return [(a[i], b[j]) for i, j in zip(*np.nonzero(mask))]
-
-
 def gen_blowup(
     r0: Digraph,
     f0: OneFactor,
@@ -48,6 +43,8 @@ def gen_blowup(
         raise ParameterError(f"pair density must be in (0,1], got {pair_density}")
     if m % 2 != 0 or m < 2:
         raise ParameterError(f"cluster size must be a positive even number, got {m}")
+    if v0_count < 0:
+        raise ParameterError(f"v0 count must be nonnegative, got {v0_count}")
     if f0.n != r0.n:
         raise ParameterError("factor does not match the template digraph")
     for cycle in f0.cycles:
@@ -64,16 +61,14 @@ def gen_blowup(
     n = k * m + v0_count
     audit_d = pair_density / 2
 
-    edges: list[tuple[int, int]] = []
-    plan: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in r0.edges():
-        plan[(i, j)] = _random_pair_edges(rng, clusters[i], clusters[j], pair_density)
+    def draw():
+        return rng.random((m, m)) < float(pair_density)
 
+    masks = {(i, j): draw() for i, j in r0.edges()}
     for i in range(k):
         j = f0.successor(i)
         for attempt in range(_AUDIT_RETRIES + 1):
-            probe = Digraph(n, plan[(i, j)])
-            pair = Pair(probe, clusters[i], clusters[j])
+            pair = Pair(clusters[i], clusters[j], masks[(i, j)])
             verdict = certify_super_regular(pair, _AUDIT_EPS, audit_d, mode="exhaustive")
             if verdict.regular:
                 break
@@ -82,11 +77,12 @@ def gen_blowup(
                     f"super-regularity audit failed {_AUDIT_RETRIES} times "
                     f"on factor edge ({i},{j}) at density {pair_density}"
                 )
-            plan[(i, j)] = _random_pair_edges(
-                rng, clusters[i], clusters[j], pair_density
-            )
-    for pair_edges in plan.values():
-        edges.extend(pair_edges)
+            masks[(i, j)] = draw()
+
+    edges: list[tuple[int, int]] = []
+    for (i, j), mask in masks.items():
+        rows, cols = np.nonzero(mask)
+        edges.extend(zip((rows + i * m).tolist(), (cols + j * m).tolist()))
 
     cluster_vertices = range(k * m)
     for x in v0:

@@ -1,5 +1,9 @@
 """Density, regularity certification, and regular-pair algorithms.
 
+A pair (A, B) is its own 0/1 biadjacency matrix, with row i for the i-th
+vertex of A and column j for the j-th vertex of B; densities, degree floors
+and audits are sums over it, and no digraph is kept with it.
+
 Densities are exact rationals. Regularity certification has two modes:
 exhaustive and sampled. The exhaustive audit is exact: it evaluates all row
 subsets at once in integer NumPy arithmetic, and since it holds one row per
@@ -11,7 +15,7 @@ confidence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt, lcm
 
@@ -22,7 +26,6 @@ from .errors import (
     ContractError,
     GenerationError,
     ParameterError,
-    PreconditionError,
     ScaleError,
     SearchFailureError,
 )
@@ -48,43 +51,52 @@ def _ceil_times_sqrt(coeff: int, eps: Fraction, m: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair:
-    """An ordered bipartite pair (A, B) inside a host digraph, direction A->B."""
+    """An ordered bipartite pair (A, B), direction A->B, held as its 0/1
+    biadjacency: ``mat[i, j] = 1`` iff ``a[i] -> b[j]``.
 
-    host: Digraph
+    ``mat`` is stored as a read-only |A| x |B| int64 array. ``Pair.of``
+    reads the pair off a digraph.
+    """
+
     a: tuple[int, ...]
     b: tuple[int, ...]
+    mat: np.ndarray
 
     def __post_init__(self):
         if set(self.a) & set(self.b):
             raise ParameterError("pair sides must be disjoint")
         if len(set(self.a)) != len(self.a) or len(set(self.b)) != len(self.b):
             raise ParameterError("pair sides must not repeat vertices")
-        for v in self.a + self.b:
-            if not (0 <= v < self.host.n):
+        mat = np.array(self.mat, dtype=np.int64)
+        if mat.shape != (len(self.a), len(self.b)):
+            raise ParameterError(
+                f"pair matrix has shape {mat.shape}, sides have sizes "
+                f"{len(self.a)} and {len(self.b)}"
+            )
+        mat.setflags(write=False)
+        object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def of(cls, g: Digraph, a, b) -> "Pair":
+        """The pair (a, b) of digraph g, its matrix filled from g's edges."""
+        a, b = tuple(a), tuple(b)
+        for v in a + b:
+            if not (0 <= v < g.n):
                 raise ParameterError(f"vertex {v} out of range")
+        out = g.out_sets
+        flat = np.array([v in out[u] for u in a for v in b], dtype=np.int64)
+        return cls(a, b, flat.reshape(len(a), len(b)))
 
     def edge_count(self) -> int:
-        b_set = set(self.b)
-        return sum(1 for u in self.a for v in self.host.out_adj[u] if v in b_set)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        mat = np.zeros((len(self.a), len(self.b)), dtype=np.int64)
-        b_index = {v: j for j, v in enumerate(self.b)}
-        for i, u in enumerate(self.a):
-            for v in self.host.out_adj[u]:
-                j = b_index.get(v)
-                if j is not None:
-                    mat[i, j] = 1
-        return mat
+        return int(self.mat.sum())
 
     def to_bipartite(self) -> BipartiteGraph:
         """The pair's edges, with row i for a[i] and column j for b[j]."""
-        mat = self.adjacency_matrix()
         indptr = np.zeros(len(self.a) + 1, dtype=np.int64)
-        np.cumsum(mat.sum(axis=1), out=indptr[1:])
-        return BipartiteGraph(len(self.a), len(self.b), indptr, np.nonzero(mat)[1])
+        np.cumsum(self.mat.sum(axis=1), out=indptr[1:])
+        return BipartiteGraph(len(self.a), len(self.b), indptr, np.nonzero(self.mat)[1])
 
 
 @dataclass(frozen=True)
@@ -178,7 +190,7 @@ def _exhaustive_regularity(p: Pair, eps: Fraction) -> RegularityVerdict:
     """
     na, nb = len(p.a), len(p.b)
     density(p)  # rejects an empty side
-    mat = p.adjacency_matrix()
+    mat = p.mat
     e = int(mat.sum())
     min_x = max(1, ceil(eps * na))
     min_y = max(1, ceil(eps * nb))
@@ -226,7 +238,7 @@ def _sampled_regularity(
 ) -> RegularityVerdict:
     na, nb = len(p.a), len(p.b)
     dens = density(p)
-    mat = p.adjacency_matrix()
+    mat = p.mat
     min_x = max(1, ceil(eps * na))
     min_y = max(1, ceil(eps * nb))
     rng = np.random.default_rng(seed)
@@ -251,6 +263,13 @@ def _sampled_regularity(
     return RegularityVerdict("sampled", regular, worst, None if regular else witness)
 
 
+def _check_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ParameterError(f"eps must be in (0, 1], got {eps}")
+    return eps
+
+
 def certify_regular(
     p: Pair, eps, mode: str = "auto", samples: int = _SAMPLES, seed: int = 0
 ) -> RegularityVerdict:
@@ -259,9 +278,7 @@ def certify_regular(
     Exhaustive mode is exact and requires both sides <= 12; sampled mode
     draws uniformly random qualifying (X, Y) pairs.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ParameterError(f"eps must be in (0, 1], got {eps}")
+    eps = _check_eps(eps)
     if mode == "auto":
         mode = (
             "exhaustive"
@@ -282,29 +299,24 @@ def certify_regular(
 def certify_super_regular(
     p: Pair, eps, d, mode: str = "auto", samples: int = _SAMPLES, seed: int = 0
 ) -> RegularityVerdict:
-    """Regularity plus per-vertex degree floors d|B| and d|A| both directions."""
+    """Regularity plus per-vertex degree floors d|B| and d|A| both directions.
+
+    The first vertex below its floor, A before B, is the witness."""
+    _check_eps(eps)
     d = Fraction(d)
-    b_set = set(p.b)
-    a_set = set(p.a)
-    floor_b = d * len(p.b)
-    floor_a = d * len(p.a)
-    for u in p.a:
-        deg = len(p.host.out_sets[u] & b_set)
-        if deg < floor_b:
+    for side, vertices, degrees, floor in (
+        ("a", p.a, p.mat.sum(axis=1), d * len(p.b)),
+        ("b", p.b, p.mat.sum(axis=0), d * len(p.a)),
+    ):
+        low = np.flatnonzero(degrees < ceil(floor))  # integer degrees
+        if low.size:
+            i = int(low[0])
             return RegularityVerdict(
                 "exhaustive",
                 False,
                 Fraction(0),
-                {"vertex": u, "side": "a", "degree": deg, "floor": str(floor_b)},
-            )
-    for v in p.b:
-        deg = len(p.host.in_sets[v] & a_set)
-        if deg < floor_a:
-            return RegularityVerdict(
-                "exhaustive",
-                False,
-                Fraction(0),
-                {"vertex": v, "side": "b", "degree": deg, "floor": str(floor_a)},
+                {"vertex": vertices[i], "side": side, "degree": int(degrees[i]),
+                 "floor": str(floor)},
             )
     return certify_regular(p, eps, mode=mode, samples=samples, seed=seed)
 
@@ -316,7 +328,7 @@ def regular_pair_matching(p: Pair, eps, super_regular: bool = False):
     shortfall means the assertion was false; the defect-Hall violating
     set is attached to the raised error.
     """
-    eps = Fraction(eps)
+    eps = _check_eps(eps)
     n = len(p.a)
     if len(p.b) != n:
         raise ParameterError("regular_pair_matching needs |A| = |B|")
@@ -397,53 +409,6 @@ def _move_quota_to_v0(
     return ClusterPartition(part.v0 + tuple(moved), tuple(new_clusters))
 
 
-def excise_preserving(p: Pair, x_set, eps, d, seed: int = 0) -> set[int]:
-    """Find Y in B with |Y| = |X| so removing (X, Y) keeps the pair dense.
-
-    Y must contain every B-vertex with fewer than d|A\\X|/2 in-neighbors in
-    A\\X; the rest of Y is drawn at random and redrawn until both residual
-    degree floors (d/2 toward the shrunken opposite side) hold.
-    """
-    eps, d = Fraction(eps), Fraction(d)
-    x_set = set(x_set)
-    if not x_set <= set(p.a):
-        raise ParameterError("X must be a subset of the pair's A side")
-    if len(x_set) > Fraction(len(p.a), 3):
-        raise PreconditionError(f"|X| = {len(x_set)} exceeds |A|/3")
-    a_rest = [u for u in p.a if u not in x_set]
-    a_rest_set = set(a_rest)
-    floor_into_rest = d * len(a_rest) / 2
-    b1 = [
-        v for v in p.b if len(p.host.in_sets[v] & a_rest_set) < floor_into_rest
-    ]
-    if len(b1) > len(x_set):
-        raise ContractError(
-            f"{len(b1)} low-degree B-vertices exceed |X| = {len(x_set)}: "
-            "super-regularity assertion false",
-            witness=b1,
-        )
-    pool = [v for v in p.b if v not in set(b1)]
-    rng = np.random.default_rng(seed)
-    need = len(x_set) - len(b1)
-    for _ in range(_RETRY_CAP):
-        b2 = [pool[i] for i in rng.choice(len(pool), size=need, replace=False)] if need else []
-        y_set = set(b1) | set(b2)
-        b_rest = [v for v in p.b if v not in y_set]
-        b_rest_set = set(b_rest)
-        ok = all(
-            len(p.host.out_sets[u] & b_rest_set) >= d * len(b_rest) / 2
-            for u in a_rest
-        ) and all(
-            len(p.host.in_sets[v] & a_rest_set) >= d * len(a_rest) / 2
-            for v in b_rest
-        )
-        if ok:
-            return y_set
-    raise GenerationError(
-        f"excision redraw budget ({_RETRY_CAP}) exhausted; pair too sparse"
-    )
-
-
 def select_ideal(
     p: Pair, theta, eps, d, seed: int = 0
 ) -> tuple[set[int], set[int]]:
@@ -455,20 +420,20 @@ def select_ideal(
     theta, d = Fraction(theta), Fraction(d)
     if not 0 < theta <= 1:
         raise ParameterError(f"theta must be in (0, 1], got {theta}")
+    _check_eps(eps)
     n = max(len(p.a), len(p.b))
     size = ceil(theta * n)
     if size > min(len(p.a), len(p.b)):
         raise ParameterError("ideal size exceeds a pair side")
-    floor = theta * d * n / 4
+    floor = ceil(theta * d * n / 4)  # integer degrees meet it iff they meet its ceiling
     rng = np.random.default_rng(seed)
     for _ in range(_RETRY_CAP):
-        a_star = {p.a[i] for i in rng.choice(len(p.a), size=size, replace=False)}
-        b_star = {p.b[i] for i in rng.choice(len(p.b), size=size, replace=False)}
-        ok = all(
-            len(p.host.out_sets[u] & b_star) >= floor for u in p.a
-        ) and all(len(p.host.in_sets[v] & a_star) >= floor for v in p.b)
-        if ok:
-            return a_star, b_star
+        rows = rng.choice(len(p.a), size=size, replace=False)
+        cols = rng.choice(len(p.b), size=size, replace=False)
+        if (p.mat.take(cols, axis=1).sum(axis=1) >= floor).all() and (
+            p.mat.take(rows, axis=0).sum(axis=0) >= floor
+        ).all():
+            return {p.a[i] for i in rows}, {p.b[j] for j in cols}
     raise GenerationError(
         f"ideal redraw budget ({_RETRY_CAP}) exhausted at theta={theta}"
     )
@@ -559,7 +524,7 @@ def hamilton_in_super_regular(
 
 
 def cluster_pair(g: Digraph, part: ClusterPartition, i: int, j: int) -> Pair:
-    return Pair(g, part.clusters[i], part.clusters[j])
+    return Pair.of(g, part.clusters[i], part.clusters[j])
 
 
 def build_reduced(

@@ -135,17 +135,16 @@ def brute_regular(p, eps) -> bool:
     a, b = p.a, p.b
     min_a = eps * len(a)
     min_b = eps * len(b)
-    b_sets = {v: p.host.out_sets[v] for v in a}
+    rows = p.mat.tolist()
     for xa in range(1, len(a) + 1):
         if Fraction(xa) < min_a:
             continue
-        for xs in combinations(a, xa):
+        for xs in combinations(range(len(a)), xa):
             for yb in range(1, len(b) + 1):
                 if Fraction(yb) < min_b:
                     continue
-                for ys in combinations(b, yb):
-                    ys_set = set(ys)
-                    cnt = sum(len(b_sets[u] & ys_set) for u in xs)
+                for ys in combinations(range(len(b)), yb):
+                    cnt = sum(rows[i][j] for i in xs for j in ys)
                     if abs(Fraction(cnt, xa * yb) - base) >= eps:
                         return False
     return True
@@ -167,7 +166,7 @@ def reference_exhaustive_regularity(p, eps):
     eps = Fraction(eps)
     na, nb = len(p.a), len(p.b)
     dens = density(p)
-    mat = p.adjacency_matrix()
+    mat = p.mat
     min_x = max(1, ceil(eps * na))
     min_y = max(1, ceil(eps * nb))
     worst = Fraction(0)

@@ -147,7 +147,7 @@ def _random_halfdense_pair(n, seed):
     a = tuple(range(n))
     b = tuple(range(n, 2 * n))
     edges = [(u, v) for u in a for v in b if rng.random() < 0.5]
-    return Pair(Digraph(2 * n, edges), a, b)
+    return Pair.of(Digraph(2 * n, edges), a, b)
 
 
 def test_criterion_5_regular_pair_matchings():

@@ -353,22 +353,44 @@ def _failure_cases(tmp_path):
         "gen-clusters-too-large": ["gen", "--family", "blowup", "--template", str(template),
                                    "--factor", str(template_factor), "--m", "14",
                                    "--density", "4/5"],
+        "gen-v0-negative": ["gen", "--family", "blowup", "--template", str(template),
+                            "--factor", str(template_factor), "--m", "4",
+                            "--density", "4/5", "--v0", "-1"],
+        "matching-eps-zero": ["pairs", "matching", "--input", str(gpath), "--partition",
+                              str(ppath), "--i", "0", "--j", "1", "--eps", "0"],
+        "ideal-eps-zero": ["pairs", "ideal", "--input", str(gpath), "--partition",
+                           str(ppath), "--i", "0", "--j", "1", "--theta", "1/2",
+                           "--eps", "0", "--d", "1/4"],
+        "cover-d-negative": ["cover", "--input", str(g), "--d", "-1"],
+        "cover-d-zero": ["cover", "--input", str(g), "--d", "0"],
     }
+
+
+# What the error line of a rejected parameter names, by case id.
+_FAILURE_NAMES = {
+    "gen-v0-negative": "v0 count",
+    "matching-eps-zero": "eps must be",
+    "ideal-eps-zero": "eps must be",
+    "cover-d-negative": "d must be",
+    "cover-d-zero": "d must be",
+}
 
 
 @pytest.mark.parametrize(
     "case",
     ["check-output", "gen-output", "cover-trace", "certify-too-large",
      "spec-not-objects", "spec-not-list", "solve-small-factor",
-     "input-wrong-types", "gen-clusters-too-large"],
+     "input-wrong-types", "gen-clusters-too-large", "gen-v0-negative",
+     "matching-eps-zero", "ideal-eps-zero", "cover-d-negative", "cover-d-zero"],
 )
 def test_cli_failure_exits_by_table(runner, tmp_path, case):
     """Unwritable outputs, oversized exhaustive audits, specs and inputs of
-    the wrong shape and a factor on the wrong number of clusters exit 2
-    with one error line, not a traceback."""
+    the wrong shape, a factor on the wrong number of clusters and
+    out-of-range parameters exit 2 with one error line, not a traceback."""
     res = runner.invoke(main, _failure_cases(tmp_path)[case])
     assert res.exit_code == 2, (res.output, res.exception)
     assert res.output.startswith("error: ")
+    assert _FAILURE_NAMES.get(case, "") in res.output
     assert isinstance(res.exception, SystemExit)
 
 

@@ -1,18 +1,22 @@
 """Instance generators: blow-up audit and conditioned random digraphs."""
 
 import hashlib
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hamlab import (
     Digraph,
+    HamlabError,
     OneFactor,
     ParameterError,
     check_semi_exact,
 )
+from hamlab.assembly import assemble_hamilton
 from hamlab.generators import gen_blowup, gen_random_condition
-from hamlab.regular_pairs import Pair, certify_super_regular
+from hamlab.regular_pairs import Pair, certify_super_regular, cluster_pair, select_ideal
 
 
 def _template(k=8):
@@ -32,7 +36,7 @@ def test_blowup_shape_and_factor_pairs_certified():
     # the emitted instance re-certifies on every factor edge, hard gate
     for i in range(part.k):
         j = f.successor(i)
-        pair = Pair(g, part.clusters[i], part.clusters[j])
+        pair = Pair.of(g, part.clusters[i], part.clusters[j])
         verdict = certify_super_regular(
             pair, Fraction(2, 5), density / 2, mode="exhaustive"
         )
@@ -107,3 +111,65 @@ _RANDOM_CONDITION_SHA256 = {
 def test_random_condition_output_pinned(n):
     text = gen_random_condition(n, Fraction(1, 4), seed=n).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == _RANDOM_CONDITION_SHA256[n]
+
+
+# The benchmark's blowup cycle, (k, m, density, v0) per op, with the input
+# seed of op i at benchmark seed 0.
+_D70, _D80 = Fraction(7, 10), Fraction(4, 5)
+_BLOWUP_CLASSES = (
+    (8, 8, _D70, 0), (12, 8, _D70, 0), (12, 8, _D80, 1), (12, 8, _D70, 2),
+    (8, 8, _D80, 1), (12, 8, _D80, 0), (12, 10, _D80, 2), (12, 8, _D70, 1),
+    (8, 8, _D70, 2), (12, 8, _D80, 2), (12, 8, _D70, 0), (12, 8, _D80, 1),
+    (8, 8, _D80, 0), (12, 8, _D70, 2), (12, 8, _D80, 0), (12, 8, _D70, 1),
+    (8, 12, _D80, 1), (8, 8, _D70, 1), (12, 8, _D80, 2), (12, 8, _D70, 0),
+)
+
+
+def _op_seed(index):
+    return int(np.random.SeedSequence([0, index + 1]).generate_state(1)[0])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except HamlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _blowup_record(k, m, density, v0, seed):
+    """Everything the blowup pipeline returns for one op, as JSON values:
+    the instance, the Hamilton certificate, super-regularity verdicts on
+    every template pair at two eps, and ideals on every factor-edge pair."""
+    r0 = Digraph.complete(k)
+    f0 = OneFactor.from_cycles(k, [list(range(i, i + 4)) for i in range(0, k, 4)])
+    g, part, f = gen_blowup(r0, f0, m, density, v0_count=v0, seed=seed)
+    d = density / 2
+    cert = _outcome(lambda: list(assemble_hamilton(
+        g, part, f, r0, Fraction(1, 4), Fraction(2, 5), d, seed=seed).order))
+    verdicts = []
+    for i, j in r0.edges():
+        p = cluster_pair(g, part, i, j)
+        for eps in (Fraction(1, 10), Fraction(2, 5)):
+            v = certify_super_regular(p, eps, d, mode="exhaustive")
+            verdicts.append([v.mode, v.regular, str(v.worst_deviation), v.witness])
+    ideals = []
+    for i in range(k):
+        p = cluster_pair(g, part, i, f.successor(i))
+        for theta in (Fraction(1, 5), Fraction(2, 5)):
+            ideals.append(_outcome(lambda: [
+                sorted(s) for s in select_ideal(p, theta, Fraction(2, 5), d, seed=seed + i)
+            ]))
+    return [g.to_json(), part.to_json(), cert, verdicts, ideals]
+
+
+# sha256 of the JSON list of _blowup_record over the 20 benchmark ops
+_BLOWUP_SHA256 = "2316eabaa053c112a7a1035a160cc1577b0a4fa311d33373edab3c006915ead8"
+
+
+def test_blowup_pipeline_output_pinned():
+    records = [
+        _blowup_record(*_BLOWUP_CLASSES[i], _op_seed(i))
+        for i in range(len(_BLOWUP_CLASSES))
+    ]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BLOWUP_SHA256

@@ -18,7 +18,6 @@ from hamlab.regular_pairs import (
     chernoff_audit,
     cluster_pair,
     density,
-    excise_preserving,
     hamilton_in_super_regular,
     make_super_regular,
     prune_atypical,
@@ -29,27 +28,46 @@ from hamlab.regular_pairs import (
 from helpers import brute_regular, reference_exhaustive_regularity
 
 
-def _random_pair(na, nb, p, seed, base=0):
+def _random_host(na, nb, p, seed):
+    """A digraph with random edges from 0..na-1 to na..na+nb-1, and that pair."""
     rng = np.random.default_rng(seed)
-    a = tuple(range(base, base + na))
-    b = tuple(range(base + na, base + na + nb))
+    a = tuple(range(na))
+    b = tuple(range(na, na + nb))
     edges = [(u, v) for u in a for v in b if rng.random() < p]
-    host = Digraph(base + na + nb, edges)
-    return Pair(host, a, b)
+    host = Digraph(na + nb, edges)
+    return host, Pair.of(host, a, b)
+
+
+def _random_pair(na, nb, p, seed):
+    return _random_host(na, nb, p, seed)[1]
 
 
 def test_density_exact():
     p = _random_pair(4, 5, 1.0, 0)
     assert density(p) == 1
-    host = Digraph(4, [(0, 2), (1, 3)])
-    p2 = Pair(host, (0, 1), (2, 3))
+    host = Digraph(4, [(0, 2), (1, 3), (2, 1)])
+    p2 = Pair.of(host, (0, 1), (2, 3))
     assert density(p2) == Fraction(1, 2)
+    assert p2.mat.tolist() == [[1, 0], [0, 1]]  # the B -> A edge (2, 1) is not in it
+
+
+def test_pair_of_reads_every_edge():
+    host, p = _random_host(5, 7, 0.5, 11)
+    assert p.mat.tolist() == [[int(host.has_edge(u, v)) for v in p.b] for u in p.a]
+    assert not p.mat.flags.writeable
 
 
 def test_pair_requires_disjoint_sides():
     host = Digraph(4, [])
     with pytest.raises(ParameterError):
-        Pair(host, (0, 1), (1, 2))
+        Pair.of(host, (0, 1), (1, 2))
+
+
+def test_pair_checks_range_and_shape():
+    with pytest.raises(ParameterError):
+        Pair.of(Digraph(4, []), (0, 1), (2, 4))  # vertex 4 not in the digraph
+    with pytest.raises(ParameterError):
+        Pair((0, 1), (2, 3), np.zeros((2, 3)))
 
 
 def test_exhaustive_certifier_matches_definition():
@@ -65,8 +83,7 @@ def _pair_from_mask(mask):
     na, nb = mask.shape
     a = tuple(range(na))
     b = tuple(range(na, na + nb))
-    edges = [(a[i], b[j]) for i, j in zip(*np.nonzero(mask))]
-    return Pair(Digraph(na + nb, edges), a, b)
+    return Pair(a, b, mask)
 
 
 def _audit_corpus():
@@ -110,23 +127,23 @@ def test_exhaustive_audit_equals_reference_loop(eps):
     st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]),
 )
 def test_exhaustive_audit_matches_definition_small(na, nb, p, seed, eps):
-    pair = _random_pair(na, nb, p, seed)
+    host, pair = _random_host(na, nb, p, seed)
     verdict = certify_regular(pair, eps, mode="exhaustive")
     assert verdict.regular == brute_regular(pair, eps)
     if not verdict.regular:
         x, y = verdict.witness["x"], verdict.witness["y"]
-        cnt = sum(1 for u in x for v in y if pair.host.has_edge(u, v))
+        cnt = sum(1 for u in x for v in y if host.has_edge(u, v))
         dev = abs(Fraction(cnt, len(x) * len(y)) - density(pair))
         assert dev == verdict.worst_deviation
 
 
 def test_exhaustive_witness_reverifies():
-    p = _random_pair(6, 6, 0.5, 3)
+    host, p = _random_host(6, 6, 0.5, 3)
     verdict = certify_regular(p, Fraction(1, 4), mode="exhaustive")
     if not verdict.regular:
         w = verdict.witness
         x, y = w["x"], w["y"]
-        cnt = sum(1 for u in x for v in y if p.host.has_edge(u, v))
+        cnt = sum(1 for u in x for v in y if host.has_edge(u, v))
         dev = abs(Fraction(cnt, len(x) * len(y)) - density(p))
         assert dev >= Fraction(1, 4)
         assert dev == verdict.worst_deviation
@@ -135,12 +152,12 @@ def test_exhaustive_witness_reverifies():
 def test_sampled_mode_is_one_sided():
     # a certified-regular verdict from sampling can be wrong, but a
     # reported violation is always a real one
-    p = _random_pair(30, 30, 0.5, 0)
+    host, p = _random_host(30, 30, 0.5, 0)
     verdict = certify_regular(p, Fraction(1, 20), mode="sampled", samples=300, seed=1)
     if not verdict.regular:
         w = verdict.witness
         x, y = w["x"], w["y"]
-        cnt = sum(1 for u in x for v in y if p.host.has_edge(u, v))
+        cnt = sum(1 for u in x for v in y if host.has_edge(u, v))
         assert abs(Fraction(cnt, len(x) * len(y)) - density(p)) >= Fraction(1, 20)
 
 
@@ -155,11 +172,17 @@ def test_exhaustive_cap():
 def test_super_regular_vertex_floors():
     # one isolated A-vertex breaks the floor instantly
     host = Digraph(8, [(u, v) for u in range(1, 4) for v in range(4, 8)])
-    p = Pair(host, (0, 1, 2, 3), (4, 5, 6, 7))
+    p = Pair.of(host, (0, 1, 2, 3), (4, 5, 6, 7))
     verdict = certify_super_regular(p, Fraction(1, 2), Fraction(1, 4))
     assert not verdict.regular
-    assert verdict.witness["vertex"] == 0
-    assert verdict.witness["side"] == "a"
+    assert verdict.witness == {"vertex": 0, "side": "a", "degree": 0, "floor": "1"}
+    # B-vertex 7 keeps 2 in-neighbours of 4: below a floor of 9/4, not of 2
+    host = Digraph(8, [(u, v) for u in range(4) for v in range(4, 8)
+                       if (u, v) not in ((0, 7), (1, 7))])
+    p = Pair.of(host, (0, 1, 2, 3), (4, 5, 6, 7))
+    verdict = certify_super_regular(p, Fraction(1, 2), Fraction(9, 16))
+    assert verdict.witness == {"vertex": 7, "side": "b", "degree": 2, "floor": "9/4"}
+    assert certify_super_regular(p, Fraction(1, 2), Fraction(1, 2)).regular
 
 
 def test_regular_pair_matching_near_perfect_and_perfect():
@@ -172,39 +195,22 @@ def test_regular_pair_matching_near_perfect_and_perfect():
 
 def test_regular_pair_matching_contract_violation():
     host = Digraph(8, [])  # empty pair cannot be regular; matching is 0
-    p = Pair(host, (0, 1, 2, 3), (4, 5, 6, 7))
+    p = Pair.of(host, (0, 1, 2, 3), (4, 5, 6, 7))
     with pytest.raises(ContractError):
         regular_pair_matching(p, Fraction(1, 4))
 
 
 def test_select_ideal_floors_hold():
-    p = _random_pair(12, 12, 0.8, 7)
+    host, p = _random_host(12, 12, 0.8, 7)
     theta, d = Fraction(1, 3), Fraction(2, 5)
     a_star, b_star = select_ideal(p, theta, Fraction(1, 4), d, seed=0)
     size = math.ceil(theta * 12)
     assert len(a_star) == size and len(b_star) == size
     floor = theta * d * 12 / 4
     for u in p.a:
-        assert len(p.host.out_sets[u] & b_star) >= floor
+        assert len(host.out_sets[u] & b_star) >= floor
     for v in p.b:
-        assert len(p.host.in_sets[v] & a_star) >= floor
-
-
-def test_excise_preserving():
-    p = _random_pair(18, 18, 0.7, 2)
-    x_set = set(p.a[:4])
-    d = Fraction(7, 20)
-    y_set = excise_preserving(p, x_set, Fraction(1, 4), d, seed=0)
-    assert len(y_set) == len(x_set)
-    assert y_set <= set(p.b)
-    a_rest = [u for u in p.a if u not in x_set]
-    b_rest = [v for v in p.b if v not in y_set]
-    for u in a_rest:
-        assert len(p.host.out_sets[u] & set(b_rest)) >= d * len(a_rest) / 2
-    for v in b_rest:
-        assert len(p.host.in_sets[v] & set(a_rest)) >= d * len(a_rest) / 2
-    with pytest.raises(Exception):
-        excise_preserving(p, set(p.a[:10]), Fraction(1, 4), d)  # > |A|/3
+        assert len(host.in_sets[v] & a_star) >= floor
 
 
 def test_hamilton_in_super_regular_exact_and_heuristic():
