@@ -202,7 +202,9 @@ class ClusterWalk:
         return Counter(self.expansion())
 
 
-def _covering_walk(r2: Digraph, f: OneFactor, start: int, end: int) -> ShiftedWalk:
+def _covering_walk(
+    r2: Digraph, f: OneFactor, h: Digraph, start: int, end: int
+) -> ShiftedWalk:
     """A chain of shifted walks from start to end using every cluster.
 
     Unlike the linking walks, it does not enforce the internal-use cap.
@@ -222,12 +224,12 @@ def _covering_walk(r2: Digraph, f: OneFactor, start: int, end: int) -> ShiftedWa
     current = start
     while unused:
         target = min(unused)
-        hop = shorten_walk(find_shifted_walk(r2, f, current, target))
+        hop = shorten_walk(find_shifted_walk(r2, f, h, current, target))
         mark(hop)
         walk = walk.concat(hop)
         current = target
         unused.discard(target)
-    walk = walk.concat(shorten_walk(find_shifted_walk(r2, f, current, end)))
+    walk = walk.concat(shorten_walk(find_shifted_walk(r2, f, h, current, end)))
     return walk
 
 
@@ -263,16 +265,16 @@ def build_walk(
             if n >= internal_cap and x not in (a, b)
         }
         try:
-            w = find_shifted_walk(r2, f, a, b, forbidden=hot)
+            w = find_shifted_walk(r2, f, h, a, b, forbidden=hot)
         except UnreachableError:
-            w = find_shifted_walk(r2, f, a, b)
+            w = find_shifted_walk(r2, f, h, a, b)
         w = shorten_walk(w)
         for x in w.internal_clusters():
             internal[x] += 1
         return w
 
     if r == 0:
-        walks.append(_covering_walk(r2, f, 0, 0))
+        walks.append(_covering_walk(r2, f, h, 0, 0))
     else:
         for i in range(r - 1):
             a = entries[i].y_cluster
@@ -280,7 +282,7 @@ def build_walk(
             walks.append(linking_walk(a, b))
         a = entries[r - 1].y_cluster
         b = f.successor(entries[0].x_cluster)
-        walks.append(_covering_walk(r2, f, a, b))
+        walks.append(_covering_walk(r2, f, h, a, b))
 
     cw = ClusterWalk(tuple(walks), assign, f, k)
     counts = cw.visit_counts()

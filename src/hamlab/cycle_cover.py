@@ -13,7 +13,7 @@ from math import ceil
 
 import numpy as np
 
-from .digraph import Digraph, degree_at, degree_sequences
+from .digraph import Digraph, degree_sequences
 from .errors import ContractError, ParameterError, ScaleError
 from .matching import find_one_factor
 
@@ -48,6 +48,14 @@ class DegreeInheritanceReport:
         raise ParameterError(f"no clause named {name!r}")
 
 
+def _first_minimum(name: str, num: np.ndarray, den: int) -> ClauseReport:
+    """The clause report of margins num/den over indices 1..k: the first
+    minimum is the witness."""
+    i = int(np.argmin(num))
+    margin = Fraction(num[i], den)
+    return ClauseReport(name, margin >= 0, margin, i + 1)
+
+
 def verify_inherited_degrees(
     r: Digraph, d, beta, g: Digraph | None = None, part=None
 ) -> DegreeInheritanceReport:
@@ -55,12 +63,17 @@ def verify_inherited_degrees(
 
     Clauses (i)/(ii) compare r's degree sequence against the host's and
     need g and its cluster partition; with g omitted only the r-only
-    clauses (iii)-(vi) are evaluated. Margins are exact; a negative
-    margin pinpoints the failing index.
+    clauses (iii)-(vi) are evaluated. Margins are exact: each clause's
+    margins over i = 1..k are integer numerators (Python ints in object
+    arrays, so nothing overflows) over one common denominator, and a
+    negative margin pinpoints the first failing index.
     """
     d, beta = Fraction(d), Fraction(beta)
     k = r.n
+    if k == 0:
+        raise ParameterError("the reduced digraph has no vertices")
     seqs = degree_sequences(r)
+    index = np.arange(1, k + 1)
     clauses: list[ClauseReport] = []
 
     if g is not None:
@@ -68,17 +81,16 @@ def verify_inherited_degrees(
             raise ParameterError("partition must match r's vertex count")
         m = part.m
         gseqs = degree_sequences(g)
+        # r_i - (g_{im} / m - 2dk), over the denominator m * den(d)
+        den = m * d.denominator
         for name, rseq, gseq in (
             ("i", seqs.out_sorted, gseqs.out_sorted),
             ("ii", seqs.in_sorted, gseqs.in_sorted),
         ):
-            margin, wit = None, None
-            for i in range(1, k + 1):
-                bound = Fraction(gseq[i * m - 1], m) - 2 * d * k
-                cur = rseq[i - 1] - bound
-                if margin is None or cur < margin:
-                    margin, wit = cur, i
-            clauses.append(ClauseReport(name, margin >= 0, margin, wit))
+            rs = np.array(rseq, dtype=object)
+            gs = np.array(gseq, dtype=object)[index * m - 1]
+            num = rs * den - gs * d.denominator + 2 * k * m * d.numerator
+            clauses.append(_first_minimum(name, num, den))
 
     floor = beta * k / 2
     for name, value in (
@@ -87,23 +99,27 @@ def verify_inherited_degrees(
     ):
         clauses.append(ClauseReport(name, value >= floor, value - floor))
 
-    cap = (Fraction(1, 2) - 2 * d) * k
+    # max(fwd_i - min(i + beta k/2, (1/2 - 2d)k),
+    #     bwd_j - (k - i - 2dk)) with j = ceil((1 - beta/2)k - i), the second
+    # term only for 1 <= j <= k; over the denominator 2 den(beta) den(d)
+    den = 2 * beta.denominator * d.denominator
+    two_dk = 4 * d.numerator * k * beta.denominator  # 2dk * den
+    cap = k * beta.denominator * d.denominator - two_dk  # (1/2 - 2d)k * den
+    i = index.astype(object)
+    j = ceil((1 - beta / 2) * k) - index
+    has_back = (j >= 1) & (j <= k)
     for name, fwd, bwd in (
         ("v", seqs.out_sorted, seqs.in_sorted),
         ("vi", seqs.in_sorted, seqs.out_sorted),
     ):
-        margin, wit = None, None
-        for i in range(1, k + 1):
-            first = Fraction(fwd[i - 1]) - min(i + beta * k / 2, cap)
-            back = degree_at(bwd, (1 - beta / 2) * k - i)
-            if back is None:
-                second = None
-            else:
-                second = Fraction(back) - (k - i - 2 * d * k)
-            cur = first if second is None else max(first, second)
-            if margin is None or cur < margin:
-                margin, wit = cur, i
-        clauses.append(ClauseReport(name, margin >= 0, margin, wit))
+        fs = np.array(fwd, dtype=object)
+        bs = np.array(bwd, dtype=object)[np.clip(j, 1, k) - 1]
+        first = fs * den - np.minimum(
+            i * den + beta.numerator * k * d.denominator, cap
+        )
+        second = bs * den - (k - i) * den + two_dk
+        num = np.where(has_back, np.maximum(first, second), first)
+        clauses.append(_first_minimum(name, num, den))
 
     return DegreeInheritanceReport(tuple(clauses))
 
@@ -202,18 +218,24 @@ def partition_cycles_paths(r: Digraph, d) -> PathCyclePartition:
     if k == 0:
         return PathCyclePartition((), (), frozenset())
     q = ceil(4 * d * k)
-    threshold = (Fraction(1, 2) - 2 * d) * k
-    edges = list(r.edges())
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                edges.append((k + i, k + j))
-    for v in range(k):
-        if r.out_degree(v) >= threshold:
-            edges.extend((v, k + i) for i in range(q))
-        if r.in_degree(v) >= threshold:
-            edges.extend((k + i, v) for i in range(q))
-    aug = Digraph(k + q, edges)
+    low = ceil((Fraction(1, 2) - 2 * d) * k)  # degrees are integers
+    out_deg = np.diff(r.indptr)
+    high_out = np.flatnonzero(out_deg >= low)
+    high_in = np.flatnonzero(np.bincount(r.indices, minlength=k) >= low)
+    new = np.arange(k, k + q)
+    block_u, block_v = np.repeat(new, q), np.tile(new, q)
+    loop_free = block_u != block_v
+    aug = Digraph.from_arrays(
+        k + q,
+        np.concatenate((
+            np.repeat(np.arange(k), out_deg), block_u[loop_free],
+            np.repeat(high_out, q), np.tile(new, len(high_in)),
+        )),
+        np.concatenate((
+            r.indices, block_v[loop_free],
+            np.tile(new, len(high_out)), np.repeat(high_in, q),
+        )),
+    )
     cert = find_one_factor(aug)
     if cert.factor is None:
         raise ContractError(

@@ -5,7 +5,7 @@ matching is ``scipy.sparse.csgraph.maximum_bipartite_matching`` on that
 CSR (Hopcroft-Karp, O(E sqrt(V))). Minimum covers come from the Koenig
 construction on that matching, so a Hall query runs one matching. The
 doubled graph of a digraph, whose perfect matchings are its 1-factors, is
-the digraph's out-adjacency read as a CSR.
+the digraph's own out-adjacency CSR (``indptr``/``indices``), not a copy.
 
 Vertex-disjoint paths use unit-capacity max-flow on the split digraph, but
 only where the common-neighbour certificate does not already settle the
@@ -151,7 +151,8 @@ def find_one_factor(j: Digraph) -> FactorCertificate:
     to a 1-factor; the violator comes from the Koenig cover when the
     matching is imperfect.
     """
-    matching, violator = matching_or_violator(BipartiteGraph.from_rows(j.n, j.out_adj))
+    doubled = BipartiteGraph(j.n, j.n, j.indptr, j.indices)
+    matching, violator = matching_or_violator(doubled)
     if violator is None:
         succ = [-1] * j.n
         for a, b in matching.pairs:

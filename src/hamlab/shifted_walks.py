@@ -113,26 +113,31 @@ def build_H(r: Digraph, f: OneFactor) -> Digraph:
     """
     if f.n != r.n:
         raise ParameterError("factor and host must share the vertex set")
-    edges = []
-    for a in range(r.n):
-        pa = f.predecessor(a)
-        for b in r.out_adj[pa]:
-            if b != a:
-                edges.append((a, b))
-    return Digraph(r.n, edges)
+    # row a of H is row pred(a) of r, gathered from r's CSR: the i-th
+    # entry of that row sits at r.indptr[pred(a)] + i
+    pred = np.array(f.pred, dtype=np.int64)
+    counts = np.diff(r.indptr)[pred]
+    tails = np.repeat(np.arange(r.n), counts)
+    offsets = np.arange(len(tails)) - np.repeat(np.cumsum(counts) - counts, counts)
+    heads = r.indices[np.repeat(r.indptr[pred], counts) + offsets]
+    keep = heads != tails
+    return Digraph.from_arrays(r.n, tails[keep], heads[keep])
 
 
 def find_shifted_walk(
-    r: Digraph, f: OneFactor, a: int, b: int, forbidden=()
+    r: Digraph, f: OneFactor, h: Digraph, a: int, b: int, forbidden=()
 ) -> ShiftedWalk:
     """Shortest shifted walk a -> b (by traversed cycles) via BFS in the
-    shifted digraph, avoiding internal use of ``forbidden`` clusters."""
+    shifted digraph h = build_H(r, f), avoiding internal use of
+    ``forbidden`` clusters. h is passed in so that a caller finding many
+    walks over one (r, f) builds it once."""
+    if h.n != r.n:
+        raise ParameterError("shifted digraph and host must share the vertex set")
     forbidden = set(forbidden)
     if a in forbidden or b in forbidden:
         raise ParameterError("forbidden set must exclude the endpoints")
     if a == b:
         return ShiftedWalk((a,), f)
-    h = build_H(r, f)
 
     def blocked(v: int) -> bool:
         # v would be an internal entrance X_i, and pred(v) an internal exit

@@ -3,19 +3,23 @@
 The brute-force helpers are deliberately naive; the point is independence
 from the package's own algorithms. The ``reference_*`` functions are the
 package's simpler earlier implementations (an exact loop, a flow per pair,
-a pure-Python Hopcroft-Karp), kept as the outputs that the faster code must
-reproduce exactly. A maximum matching itself may differ from the reference
+a pure-Python Hopcroft-Karp, the per-edge digraph constructor), kept as the
+outputs that the faster code must reproduce exactly. A maximum matching itself may differ from the reference
 one; its size, Koenig cover and Hall violator may not.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from hamlab import BipartiteGraph, Digraph
+from hamlab import BipartiteGraph, Digraph, ParameterError
+from hamlab.cycle_cover import ClauseReport, DegreeInheritanceReport
+from hamlab.digraph import degree_at, degree_sequences
 from hamlab.matching import (
     Cover,
     Matching,
@@ -370,3 +374,91 @@ def reference_internally_disjoint_paths(g: Digraph, x: int, y: int, count: int):
         path.append(y)
         paths.append(path)
     return paths
+
+
+class ReferenceDigraph(NamedTuple):
+    out_adj: tuple
+    in_adj: tuple
+    out_sets: tuple
+    in_sets: tuple
+    edge_count: int
+
+
+def reference_digraph(n: int, edges) -> ReferenceDigraph:
+    """The per-edge pure-Python ``Digraph`` constructor: each edge in input
+    order is checked for range, then self-loop, then an earlier copy."""
+    if n < 0:
+        raise ParameterError(f"vertex count must be nonnegative, got {n}")
+    out: list[list[int]] = [[] for _ in range(n)]
+    inn: list[list[int]] = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ParameterError(f"self-loop at vertex {u}")
+        if (u, v) in seen:
+            raise ParameterError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        out[u].append(v)
+        inn[v].append(u)
+    out_adj = tuple(tuple(sorted(a)) for a in out)
+    in_adj = tuple(tuple(sorted(a)) for a in inn)
+    return ReferenceDigraph(
+        out_adj,
+        in_adj,
+        tuple(frozenset(a) for a in out_adj),
+        tuple(frozenset(a) for a in in_adj),
+        len(seen),
+    )
+
+
+def reference_inherited_degrees(r: Digraph, d, beta, g=None, part=None):
+    """The ``Fraction`` loop of ``verify_inherited_degrees``: each clause's
+    margin is the first index with the strictly smallest margin."""
+    d, beta = Fraction(d), Fraction(beta)
+    k = r.n
+    seqs = degree_sequences(r)
+    clauses: list[ClauseReport] = []
+
+    if g is not None:
+        m = part.m
+        gseqs = degree_sequences(g)
+        for name, rseq, gseq in (
+            ("i", seqs.out_sorted, gseqs.out_sorted),
+            ("ii", seqs.in_sorted, gseqs.in_sorted),
+        ):
+            margin, wit = None, None
+            for i in range(1, k + 1):
+                bound = Fraction(gseq[i * m - 1], m) - 2 * d * k
+                cur = rseq[i - 1] - bound
+                if margin is None or cur < margin:
+                    margin, wit = cur, i
+            clauses.append(ClauseReport(name, margin >= 0, margin, wit))
+
+    floor = beta * k / 2
+    for name, value in (
+        ("iii", r.min_out_degree()),
+        ("iv", r.min_in_degree()),
+    ):
+        clauses.append(ClauseReport(name, value >= floor, value - floor))
+
+    cap = (Fraction(1, 2) - 2 * d) * k
+    for name, fwd, bwd in (
+        ("v", seqs.out_sorted, seqs.in_sorted),
+        ("vi", seqs.in_sorted, seqs.out_sorted),
+    ):
+        margin, wit = None, None
+        for i in range(1, k + 1):
+            first = Fraction(fwd[i - 1]) - min(i + beta * k / 2, cap)
+            back = degree_at(bwd, (1 - beta / 2) * k - i)
+            if back is None:
+                second = None
+            else:
+                second = Fraction(back) - (k - i - 2 * d * k)
+            cur = first if second is None else max(first, second)
+            if margin is None or cur < margin:
+                margin, wit = cur, i
+        clauses.append(ClauseReport(name, margin >= 0, margin, wit))
+
+    return DegreeInheritanceReport(tuple(clauses))

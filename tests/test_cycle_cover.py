@@ -1,5 +1,7 @@
 """Degree inheritance, expansion, path/cycle partition, active-path cover."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hamlab import ContractError, Digraph, ScaleError
+from hamlab import ContractError, Digraph, HamlabError, ParameterError, ScaleError
 from hamlab.cycle_cover import (
     PathCyclePartition,
     check_outexpansion,
@@ -16,7 +18,7 @@ from hamlab.cycle_cover import (
     partition_cycles_paths,
     verify_inherited_degrees,
 )
-from helpers import random_digraph
+from helpers import random_digraph, reference_inherited_degrees
 
 
 def brute_outexpansion_violator(r, d):
@@ -238,3 +240,76 @@ def test_no_case_raises_contract_error():
     init = PathCyclePartition((), ((0, 1, 2), (3, 4, 5)), frozenset())
     with pytest.raises(ContractError):
         cover_by_cycles(r, Fraction(1, 100), seed=0, initial=init)
+
+
+def test_inherited_degrees_equal_fraction_reference():
+    """Integer margins over one denominator give the Fraction loop's report:
+    the same margins, verdicts and first-minimum witnesses."""
+    from hamlab.regular_pairs import ClusterPartition
+
+    outcomes = set()
+    for seed in range(60):
+        rng = np.random.default_rng([5, seed])
+        k, m = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+        r = random_digraph(k, float(rng.uniform(0.05, 1.0)), seed)
+        v0 = int(rng.integers(0, 3))
+        g = random_digraph(k * m + v0, float(rng.uniform(0.05, 1.0)), seed + 100)
+        part = ClusterPartition(
+            tuple(range(k * m, k * m + v0)),
+            tuple(tuple(range(i * m, (i + 1) * m)) for i in range(k)),
+        )
+        for d in (Fraction(1, 400), Fraction(1, 40), Fraction(1, 9), Fraction(1, 3), 0.01):
+            for beta in (Fraction(1, 8), Fraction(1, 4), Fraction(2, 5), 1):
+                for host in ((g, part), (None, None)):
+                    got = verify_inherited_degrees(r, d, beta, *host)
+                    want = reference_inherited_degrees(r, d, beta, *host)
+                    assert got == want, (seed, d, beta)
+                    for c in got.clauses:
+                        assert type(c.margin) is Fraction
+                        outcomes.add((c.clause, c.holds))
+    assert len(outcomes) == 12  # every clause both holds and fails somewhere
+    with pytest.raises(ParameterError):
+        verify_inherited_degrees(Digraph(0, []), Fraction(1, 40), Fraction(1, 4))
+
+
+def _cover_corpus():
+    for seed in range(120):
+        rng = np.random.default_rng([41, seed])
+        k = int(rng.integers(1, 61))
+        if seed % 3 == 2:
+            block = rng.permutation(k)[: k // 2 + int(rng.integers(0, 3))]
+            mask = np.ones((k, k), dtype=bool)
+            mask[np.ix_(block, block)] = False
+        else:
+            mask = rng.random((k, k)) < rng.uniform(0.2, 0.95)
+        np.fill_diagonal(mask, False)
+        us, vs = np.nonzero(mask)
+        edges = list(zip(us.tolist(), vs.tolist()))
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        d = (Fraction(1, 400), Fraction(1, 100), Fraction(1, 30), Fraction(1, 8))[seed % 4]
+        yield Digraph(k, edges), d, seed
+
+
+def test_partition_and_cover_output_pinned():
+    """sha256 of partition_cycles_paths and cover_by_cycles (cycles, paths,
+    waste, trace, or the error) on 120 digraphs with k <= 60, computed with
+    the augmented digraph built edge by edge in Python. The corpus covers
+    24 ContractErrors and the cover cases dump, 2, 3ii and 4iii."""
+    digest = hashlib.sha256()
+    for r, d, seed in _cover_corpus():
+        try:
+            p = partition_cycles_paths(r, d)
+            rec = {"cycles": p.cycles, "paths": p.paths}
+        except HamlabError as exc:
+            rec = {"error": f"{type(exc).__name__}: {exc}"}
+        try:
+            c = cover_by_cycles(r, d, seed=seed)
+            rec["cover"] = {
+                "cycles": c.cycles, "waste": sorted(c.waste), "trace": c.trace
+            }
+        except HamlabError as exc:
+            rec["cover"] = f"{type(exc).__name__}: {exc}"
+        digest.update(json.dumps(rec, sort_keys=True, default=list).encode())
+    assert digest.hexdigest() == (
+        "4c169006b9f10f5b752b09d656b21ad4a5eab85c662a61400e85571a5f117dc2"
+    )

@@ -1,6 +1,7 @@
 """Core digraph types: construction, serialization, factors, certificates."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hamlab import (
     max_matching,
     verify_hamilton_cycle,
 )
+from helpers import reference_digraph
 
 
 def test_rejects_loops_duplicates_and_range():
@@ -131,3 +133,144 @@ def test_bipartite_duplicate_edge_rejected():
         assert again.indptr.tolist() == b.indptr.tolist()
         assert again.indices.tolist() == b.indices.tolist()
         assert max_matching(again).pairs == expected
+
+
+def _reference_error(n, edges):
+    try:
+        reference_digraph(n, edges)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def _error(build):
+    try:
+        build()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def _differential_corpus():
+    """Shuffled random digraphs on 0-60 vertices, every density, and the
+    three named families."""
+    rng = np.random.default_rng(2024)
+    for n in range(61):
+        for p in (0.05, 0.5, 0.95):
+            mask = rng.random((n, n)) < p
+            np.fill_diagonal(mask, False)
+            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
+            yield n, [edges[i] for i in rng.permutation(len(edges))]
+    for n in (0, 1, 2, 3, 17, 60):
+        yield n, Digraph.complete(n).edges()
+        yield n, Digraph.directed_path(n).edges()
+        if n >= 2:
+            yield n, Digraph.directed_cycle(n).edges()
+
+
+def test_constructor_equals_per_edge_reference():
+    for n, edges in _differential_corpus():
+        want = reference_digraph(n, edges)
+        for g in (
+            Digraph(n, edges),
+            Digraph(n, iter(edges)),
+            Digraph.from_arrays(
+                n,
+                np.array([u for u, _ in edges], dtype=np.int64),
+                np.array([v for _, v in edges], dtype=np.int32),
+            ),
+        ):
+            assert g.out_adj == want.out_adj, n
+            assert g.in_adj == want.in_adj, n
+            assert g.edge_count() == want.edge_count
+            assert g.out_sets == want.out_sets and g.in_sets == want.in_sets
+            assert g.indptr.tolist() == [0, *np.cumsum([len(a) for a in want.out_adj])]
+            assert g.indices.tolist() == [v for row in want.out_adj for v in row]
+            assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+            assert all(type(v) is int for row in g.out_adj + g.in_adj for v in row)
+
+
+def test_neighbour_sets_are_built_on_first_read_per_direction():
+    g = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
+    assert g.in_sets == (frozenset({2, 3}), frozenset({0}), frozenset({1}), frozenset())
+    assert g.has_edge(3, 0) and not g.has_edge(0, 3)
+    assert g.out_sets == reference_digraph(4, g.edges()).out_sets
+    assert type(g) is Digraph  # both filled: a plain Digraph again
+    h = Digraph(4, g.edges())
+    assert h.has_edge(1, 2) and h == g and hash(h) == hash(g)
+    again = pickle.loads(pickle.dumps(h))
+    assert again == h and again.in_sets == g.in_sets
+    with pytest.raises(AttributeError):
+        h.no_such_attribute
+
+
+def test_constructor_error_is_the_reference_error():
+    """The first bad edge in input order is reported, each edge checked for
+    range, then self-loop, then an earlier copy; early, late, after a
+    duplicate and between the two copies of one."""
+    rng = np.random.default_rng(7)
+    n = 60
+    mask = rng.random((n, n)) < 0.8
+    np.fill_diagonal(mask, False)
+    base = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
+    base = [base[i] for i in rng.permutation(len(base))]
+    missing = next((u, v) for u in range(n) for v in range(n) if u != v and not mask[u, v])
+    bad_edges = [(0, n), (n, 0), (-1, 3), (4, -2), (n + 5, n + 9), (2**40, 1),
+                 (7, 7), (0, 0), base[5], base[-3]]
+    checked = 0
+    for bad in bad_edges:
+        for at in (0, 1, len(base) // 2, len(base)):
+            edges = base[:at] + [bad] + base[at:]
+            layouts = [
+                edges,
+                edges + [missing, missing],  # a duplicate after it
+                # a duplicate completed before it
+                base[:at] + [base[0], bad] + base[at:],
+                # the copies of a duplicate on both sides of it
+                [base[at % len(base)]] + edges,
+            ]
+            for case in layouts:
+                want = _reference_error(n, case)
+                assert want is not None
+                assert _error(lambda: Digraph(n, case)) == want, (bad, at)
+                u, v = np.array(case).T
+                assert _error(lambda: Digraph.from_arrays(n, u, v)) == want
+                checked += 1
+    assert checked == len(bad_edges) * 4 * 4
+    assert _error(lambda: Digraph(0, [(0, 0)])) == _reference_error(0, [(0, 0)])
+
+
+def test_vertex_labels_must_be_integers():
+    cases = {
+        "float": [(0, 1), (0.5, 1)],
+        "string": [(0, 1), ("1", 2)],
+        "beyond int64": [(0, 1), (2**70, 1)],
+        "negative": [(0, 1), (-1, 2)],
+        "triple": [(0, 1), (0, 1, 2)],
+        "float array": np.array([[0.0, 1.0]]),
+    }
+    messages = {name: _error(lambda: Digraph(3, edges)) for name, edges in cases.items()}
+    assert messages == {
+        "float": "edge (0.5, 1) is not a pair of integer vertex labels",
+        "string": "edge ('1', 2) is not a pair of integer vertex labels",
+        "beyond int64": f"edge ({2**70},1) out of range for n=3",
+        "negative": "edge (-1,2) out of range for n=3",
+        "triple": "edge (0, 1, 2) is not a pair of integer vertex labels",
+        "float array": "an edge array must be (m, 2) integers",
+    }
+    # an earlier bad edge is reported before a later unreadable one
+    assert _error(lambda: Digraph(3, [(1, 1), (0.5, 1)])) == "self-loop at vertex 1"
+    assert _error(lambda: Digraph(3, [(0, 5), ("a", 1)])) == "edge (0,5) out of range for n=3"
+    with pytest.raises(ParameterError):
+        Digraph.from_arrays(3, np.array([0.0]), np.array([1]))
+    with pytest.raises(ParameterError):
+        Digraph.from_arrays(3, [0, 1], [1])
+    g = Digraph(3, [(np.int64(0), np.int64(1)), (np.int32(1), 2), (True, 0)])
+    assert g.out_adj == ((1,), (0, 2), ())
+    assert all(type(v) is int for row in g.out_adj for v in row)
+    with pytest.raises(TypeError):
+        Digraph(3.0, [])
+    # JSON input is not truncated either
+    assert _error(lambda: Digraph.from_json('{"n": 3, "edges": [[0.5, 1]]}')) == (
+        "edge [0.5, 1] is not a pair of integer vertex labels"
+    )

@@ -10,6 +10,7 @@ from hamlab import (
     ContractError,
     Digraph,
     OneFactor,
+    ParameterError,
     UnreachableError,
     WrongPipelineError,
     degree_sequences,
@@ -60,7 +61,7 @@ def test_find_walk_validates_and_is_shortest():
     for a in range(5):
         for b in range(5, 10):
             try:
-                w = find_shifted_walk(r, f, a, b)
+                w = find_shifted_walk(r, f, h, a, b)
             except UnreachableError:
                 continue
             w.validate(r)
@@ -74,18 +75,20 @@ def test_find_walk_validates_and_is_shortest():
 def test_find_walk_trivial_and_unreachable():
     r = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     f = OneFactor.from_cycles(4, [[0, 1, 2, 3]])
-    assert find_shifted_walk(r, f, 2, 2).entries == (2,)
+    assert find_shifted_walk(r, f, build_H(r, f), 2, 2).entries == (2,)
+    with pytest.raises(ParameterError):
+        find_shifted_walk(r, f, Digraph(3, []), 0, 1)  # H of another digraph
     sparse = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     # H of the cycle factor over the cycle digraph: pred(a) -> b edges
     with pytest.raises(UnreachableError):
         # forbid everything internal so only direct hops survive
-        find_shifted_walk(sparse, f, 0, 1, forbidden={2, 3})
+        find_shifted_walk(sparse, f, build_H(sparse, f), 0, 1, forbidden={2, 3})
 
 
 def test_forbidden_excludes_internal_clusters():
     r = random_digraph(16, 0.5, 1)
     f = _factor(16)
-    w = find_shifted_walk(r, f, 0, 9, forbidden={4, 5})
+    w = find_shifted_walk(r, f, build_H(r, f), 0, 9, forbidden={4, 5})
     assert {4, 5}.isdisjoint(w.internal_clusters())
 
 
@@ -96,7 +99,7 @@ def test_shorten_idempotent_and_entry_unique():
         f = _factor(12)
         a, b = int(rng.integers(12)), int(rng.integers(12))
         try:
-            w = find_shifted_walk(r, f, a, b)
+            w = find_shifted_walk(r, f, build_H(r, f), a, b)
         except UnreachableError:
             continue
         s = shorten_walk(w)
@@ -109,8 +112,9 @@ def test_shorten_idempotent_and_entry_unique():
 def test_account_totals():
     r = random_digraph(16, 0.5, 2)
     f = _factor(16)
-    w1 = find_shifted_walk(r, f, 0, 10)
-    w2 = find_shifted_walk(r, f, 3, 12)
+    h = build_H(r, f)
+    w1 = find_shifted_walk(r, f, h, 0, 10)
+    w2 = find_shifted_walk(r, f, h, 3, 12)
     usage = account([w1, w2])
     assert usage.total_uses == 2 * (w1.t + w2.t)
     assert sum(usage.entrance_uses.values()) == w1.t + w2.t
@@ -120,13 +124,14 @@ def test_account_totals():
 def test_concat():
     r = random_digraph(16, 0.5, 4)
     f = _factor(16)
-    w1 = find_shifted_walk(r, f, 0, 8)
-    w2 = find_shifted_walk(r, f, 8, 3)
+    h = build_H(r, f)
+    w1 = find_shifted_walk(r, f, h, 0, 8)
+    w2 = find_shifted_walk(r, f, h, 8, 3)
     w = w1.concat(w2)
     w.validate(r)
     assert w.a == 0 and w.b == 3 and w.t == w1.t + w2.t
     with pytest.raises(Exception):
-        w1.concat(find_shifted_walk(r, f, 3, 5))
+        w1.concat(find_shifted_walk(r, f, h, 3, 5))
 
 
 def test_disjoint_walks_contract():
