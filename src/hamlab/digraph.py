@@ -44,6 +44,13 @@ def _edge_pairs(n: int, edges) -> np.ndarray:
     return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
 
 
+def _json_label(v, error: type[Exception] = ParameterError) -> int:
+    """A vertex label read from JSON: an int, never a bool, float or string."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise error(f"vertex label {v!r} is not an integer")
+    return v
+
+
 def _adjacency(n: int, pairs: np.ndarray):
     """Validate the edges (u, v) and return the out-adjacency CSR
     (indptr, indices) with the sorted tuples out_adj and in_adj.
@@ -340,7 +347,8 @@ class HamiltonCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "HamiltonCertificate":
-        return cls(tuple(int(v) for v in json.loads(text)["order"]))
+        order = json.loads(text)["order"]
+        return cls(tuple(_json_label(v, MalformedCertificateError) for v in order))
 
 
 def verify_hamilton_cycle(g: Digraph, cert: HamiltonCertificate) -> bool:
@@ -437,7 +445,7 @@ class OneFactor:
     @classmethod
     def from_json(cls, text: str, host: Digraph | None = None) -> "OneFactor":
         data = json.loads(text)
-        cycles = [[int(v) for v in c] for c in data["cycles"]]
+        cycles = [[_json_label(v) for v in c] for c in data["cycles"]]
         n = sum(len(c) for c in cycles)
         return cls.from_cycles(n, cycles, host)
 

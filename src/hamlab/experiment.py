@@ -148,9 +148,10 @@ def run_instance(spec: InstanceSpec) -> dict:
         beta = _param({"beta": "1/4", **spec.parameters}, "beta", _fraction)
         for name, checker in CHECKERS.items():
             record[name] = checker(g, beta).holds
-        if g.n <= 20:
-            from .oracle import brute_force_hamiltonian
+        # imported per call, so a patched oracle.brute_force_hamiltonian is seen
+        from .oracle import _HAMILTON_CAP, brute_force_hamiltonian
 
+        if g.n <= _HAMILTON_CAP:
             cert = brute_force_hamiltonian(g)
             if cert is not None and not verify_hamilton_cycle(g, cert):
                 raise AssertionError("oracle emitted a bad certificate")

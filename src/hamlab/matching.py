@@ -26,7 +26,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import BipartiteGraph, Digraph, OneFactor
-from .errors import ParameterError, PreconditionError
+from .errors import ContractError, ParameterError, PreconditionError
 
 INF = float("inf")
 
@@ -371,6 +371,9 @@ def find_separator(g: Digraph, k: int) -> set[int] | None:
                 for v in range(g.n)
                 if 2 * v in side and 2 * v + 1 not in side
             }
-            assert len(cut) == flow
+            if len(cut) != flow:
+                raise ContractError(
+                    f"cut of {len(cut)} vertices for a flow of {flow}", cut
+                )
             return cut
     return None

@@ -6,14 +6,36 @@ Both are exact and deliberately capped at desk scale.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .digraph import Digraph, HamiltonCertificate, verify_hamilton_cycle
-from .errors import ScaleError, UnreachableError
+from .errors import ContractError, ScaleError, UnreachableError
 
 _HAMILTON_CAP = 20
 _COVER_CAP = 16
+_BITS = tuple(np.uint32(1 << v) for v in range(_HAMILTON_CAP))
+
+
+@cache
+def _layers(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subsets of range(n) that contain vertex 0, ordered by popcount.
+
+    Returns the order as one read-only uint32 array and the layer bounds:
+    the subsets of popcount c are ``order[bounds[c]:bounds[c + 1]]``, in
+    ascending order (the sort is stable).
+    """
+    with0 = np.arange(1, 1 << n, 2, dtype=np.uint32)
+    pop = np.zeros(with0.size, dtype=np.uint8)
+    for b in range(n):
+        pop += ((with0 >> np.uint32(b)) & 1).astype(np.uint8)
+    order = with0[np.argsort(pop, kind="stable")]
+    order.setflags(write=False)
+    counts = np.bincount(pop, minlength=n + 1)
+    bounds = (0, *np.cumsum(counts).tolist())
+    return order, bounds
 
 
 def brute_force_hamiltonian(g: Digraph) -> HamiltonCertificate | None:
@@ -21,7 +43,11 @@ def brute_force_hamiltonian(g: Digraph) -> HamiltonCertificate | None:
 
     State: for each vertex subset S containing vertex 0, the set of
     endpoints v such that some path from 0 through exactly S ends at v.
-    Layers are processed in order of |S| with numpy-vectorized updates.
+    Layers are processed in order of |S| with numpy-vectorized updates;
+    each layer is a slice of ``_layers(n)``, built once per n and cached.
+    Under ``--jobs`` threads (``run_experiment``'s parallelism), concurrent
+    first calls at one n may each build that order; the builds are equal and
+    their arrays read-only, so whichever is cached serves every later call.
     """
     n = g.n
     if n > _HAMILTON_CAP:
@@ -29,35 +55,34 @@ def brute_force_hamiltonian(g: Digraph) -> HamiltonCertificate | None:
     if n < 2:
         return None
 
-    in_mask = np.zeros(n, dtype=np.uint32)
+    in_mask = []
     for v in range(n):
         m = 0
         for u in g.in_adj[v]:
             m |= 1 << u
-        in_mask[v] = m
+        in_mask.append(m)
+    masks = [np.uint32(m) for m in in_mask]
 
     size = 1 << n
     ends = np.zeros(size, dtype=np.uint32)
     ends[1] = 1  # path "0" through {0} ends at 0
 
-    all_subsets = np.arange(size, dtype=np.uint32)
-    # subsets containing vertex 0, grouped by popcount
-    with0 = all_subsets[(all_subsets & 1) != 0]
-    pop = np.zeros(size, dtype=np.uint8)
-    for b in range(n):
-        pop += ((all_subsets >> np.uint32(b)) & 1).astype(np.uint8)
+    order, bounds = _layers(n)
     for c in range(1, n):
-        layer = with0[pop[with0] == c]
+        layer = order[bounds[c] : bounds[c + 1]]
         layer_ends = ends[layer]
-        active = layer[layer_ends != 0]
+        live = layer_ends != 0
+        active = layer[live]
         if active.size == 0:
-            continue
-        active_ends = ends[active]
+            break  # no path reaches a later layer either
+        active_ends = layer_ends[live]
         for v in range(1, n):
-            bit = np.uint32(1 << v)
-            sel = ((active & bit) == 0) & ((active_ends & in_mask[v]) != 0)
-            if sel.any():
-                np.bitwise_or.at(ends, active[sel] | bit, bit)
+            bit = _BITS[v]
+            sel = ((active & bit) == 0) & ((active_ends & masks[v]) != 0)
+            grown = active[sel]
+            if grown.size:
+                # targets are distinct: the sets are distinct, none holds v
+                ends[grown | bit] |= bit
 
     full = size - 1
     final = int(ends[full])
@@ -66,20 +91,22 @@ def brute_force_hamiltonian(g: Digraph) -> HamiltonCertificate | None:
         return None
 
     # backtrack one Hamilton path 0 -> ... -> v with edge v -> 0
-    order = []
+    path = []
     v = closers[0]
     s = full
     while v != 0:
-        order.append(v)
+        path.append(v)
         prev_s = s & ~(1 << v)
-        prev_ends = int(ends[prev_s]) & int(in_mask[v])
-        assert prev_ends, "DP backtrack lost the path"
+        prev_ends = int(ends[prev_s]) & in_mask[v]
+        if not prev_ends:
+            raise ContractError("DP backtrack lost the path")
         u = (prev_ends & -prev_ends).bit_length() - 1
         s, v = prev_s, u
-    order.append(0)
-    order.reverse()
-    cert = HamiltonCertificate(tuple(order))
-    assert verify_hamilton_cycle(g, cert)
+    path.append(0)
+    path.reverse()
+    cert = HamiltonCertificate(tuple(path))
+    if not verify_hamilton_cycle(g, cert):
+        raise ContractError("DP certificate is not a Hamilton cycle", cert)
     return cert
 
 
@@ -117,7 +144,8 @@ def max_cycle_cover_coverage(g: Digraph) -> int:
         cost[u, list(g.out_adj[u])] = -1
     rows, cols = linear_sum_assignment(cost)
     total = int(cost[rows, cols].sum())
-    assert total <= 0, "assignment used a forbidden slot"
+    if total > 0:
+        raise ContractError("assignment used a forbidden slot")
     return -total
 
 

@@ -21,7 +21,13 @@ from math import ceil, isqrt, lcm
 
 import numpy as np
 
-from .digraph import BipartiteGraph, Digraph, HamiltonCertificate, verify_hamilton_cycle
+from .digraph import (
+    BipartiteGraph,
+    Digraph,
+    HamiltonCertificate,
+    _json_label,
+    verify_hamilton_cycle,
+)
 from .errors import (
     ContractError,
     GenerationError,
@@ -141,8 +147,8 @@ class ClusterPartition:
     def from_json(cls, text: str) -> "ClusterPartition":
         data = json.loads(text)
         return cls(
-            tuple(int(v) for v in data["v0"]),
-            tuple(tuple(int(v) for v in c) for c in data["clusters"]),
+            tuple(_json_label(v) for v in data["v0"]),
+            tuple(tuple(_json_label(v) for v in c) for c in data["clusters"]),
         )
 
 
@@ -519,7 +525,8 @@ def hamilton_in_super_regular(
             "this does not prove nonexistence"
         )
     cert = HamiltonCertificate(tuple(order))
-    assert verify_hamilton_cycle(g, cert)
+    if not verify_hamilton_cycle(g, cert):
+        raise ContractError("insertion certificate is not a Hamilton cycle", cert)
     return cert
 
 

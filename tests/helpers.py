@@ -3,7 +3,8 @@
 The brute-force helpers are deliberately naive; the point is independence
 from the package's own algorithms. The ``reference_*`` functions are the
 package's simpler earlier implementations (an exact loop, a flow per pair,
-a pure-Python Hopcroft-Karp, the per-edge digraph constructor), kept as the
+a pure-Python Hopcroft-Karp, the per-edge digraph constructor, the subset
+DP that rebuilt its popcount layers on every call), kept as the
 outputs that the faster code must reproduce exactly. A maximum matching itself may differ from the reference
 one; its size, Koenig cover and Hall violator may not.
 """
@@ -17,9 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hamlab import BipartiteGraph, Digraph, ParameterError
+from hamlab import BipartiteGraph, Digraph, ParameterError, ScaleError
 from hamlab.cycle_cover import ClauseReport, DegreeInheritanceReport
-from hamlab.digraph import degree_at, degree_sequences
+from hamlab.digraph import (
+    HamiltonCertificate,
+    degree_at,
+    degree_sequences,
+    verify_hamilton_cycle,
+)
 from hamlab.matching import (
     Cover,
     Matching,
@@ -27,6 +33,7 @@ from hamlab.matching import (
     _split_network,
     is_strongly_connected,
 )
+from hamlab.oracle import _HAMILTON_CAP
 
 INF = float("inf")
 
@@ -462,3 +469,70 @@ def reference_inherited_degrees(r: Digraph, d, beta, g=None, part=None):
         clauses.append(ClauseReport(name, margin >= 0, margin, wit))
 
     return DegreeInheritanceReport(tuple(clauses))
+
+
+def reference_brute_force_hamiltonian(g: Digraph) -> HamiltonCertificate | None:
+    """Exact Hamiltonicity via subset DP over endpoint bitmasks.
+
+    State: for each vertex subset S containing vertex 0, the set of
+    endpoints v such that some path from 0 through exactly S ends at v.
+    Layers are processed in order of |S| with numpy-vectorized updates.
+    """
+    n = g.n
+    if n > _HAMILTON_CAP:
+        raise ScaleError(f"exact oracle capped at n={_HAMILTON_CAP}, got {n}")
+    if n < 2:
+        return None
+
+    in_mask = np.zeros(n, dtype=np.uint32)
+    for v in range(n):
+        m = 0
+        for u in g.in_adj[v]:
+            m |= 1 << u
+        in_mask[v] = m
+
+    size = 1 << n
+    ends = np.zeros(size, dtype=np.uint32)
+    ends[1] = 1  # path "0" through {0} ends at 0
+
+    all_subsets = np.arange(size, dtype=np.uint32)
+    # subsets containing vertex 0, grouped by popcount
+    with0 = all_subsets[(all_subsets & 1) != 0]
+    pop = np.zeros(size, dtype=np.uint8)
+    for b in range(n):
+        pop += ((all_subsets >> np.uint32(b)) & 1).astype(np.uint8)
+    for c in range(1, n):
+        layer = with0[pop[with0] == c]
+        layer_ends = ends[layer]
+        active = layer[layer_ends != 0]
+        if active.size == 0:
+            continue
+        active_ends = ends[active]
+        for v in range(1, n):
+            bit = np.uint32(1 << v)
+            sel = ((active & bit) == 0) & ((active_ends & in_mask[v]) != 0)
+            if sel.any():
+                np.bitwise_or.at(ends, active[sel] | bit, bit)
+
+    full = size - 1
+    final = int(ends[full])
+    closers = [v for v in g.in_adj[0] if final & (1 << v)]
+    if not closers:
+        return None
+
+    # backtrack one Hamilton path 0 -> ... -> v with edge v -> 0
+    order = []
+    v = closers[0]
+    s = full
+    while v != 0:
+        order.append(v)
+        prev_s = s & ~(1 << v)
+        prev_ends = int(ends[prev_s]) & int(in_mask[v])
+        assert prev_ends, "DP backtrack lost the path"
+        u = (prev_ends & -prev_ends).bit_length() - 1
+        s, v = prev_s, u
+    order.append(0)
+    order.reverse()
+    cert = HamiltonCertificate(tuple(order))
+    assert verify_hamilton_cycle(g, cert)
+    return cert

@@ -274,3 +274,23 @@ def test_vertex_labels_must_be_integers():
     assert _error(lambda: Digraph.from_json('{"n": 3, "edges": [[0.5, 1]]}')) == (
         "edge [0.5, 1] is not a pair of integer vertex labels"
     )
+
+
+@pytest.mark.parametrize("label", [1.7, "1", True], ids=["float", "string", "bool"])
+def test_json_factor_and_certificate_labels_are_strict(label):
+    """A float, string or bool label is rejected by name, never cast."""
+    named = f"vertex label {label!r} is not an integer"
+    with pytest.raises(ParameterError) as exc:
+        OneFactor.from_json(json.dumps({"cycles": [[0, label], [2, 3]]}))
+    assert str(exc.value) == named
+    with pytest.raises(MalformedCertificateError) as exc:
+        HamiltonCertificate.from_json(json.dumps({"order": [0, label, 2]}))
+    assert str(exc.value) == named
+
+
+def test_json_factor_and_certificate_load_integer_labels():
+    f = OneFactor.from_json('{"cycles": [[0, 1], [2, 3]]}')
+    assert f.cycles == ((0, 1), (2, 3))
+    with pytest.raises(ParameterError, match="vertex label 1.7 "):
+        OneFactor.from_json('{"cycles": [[0, 1.7], [2.2, 3]]}')
+    assert HamiltonCertificate.from_json('{"order": [0, 2, 1]}').order == (0, 2, 1)

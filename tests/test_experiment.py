@@ -330,6 +330,8 @@ def _failure_cases(tmp_path):
     _, gpath, ppath, _ = _write_blowup(tmp_path)
     small_factor = tmp_path / "f4.json"
     small_factor.write_text(OneFactor.from_cycles(4, [[0, 1, 2, 3]]).to_json())
+    float_factor = tmp_path / "f_float.json"
+    float_factor.write_text('{"cycles": [[0, 1.7], [2.2, 3]]}')
     wrong_types = tmp_path / "wrong_types.json"
     wrong_types.write_text('{"n": 3, "edges": 5}')
     template = tmp_path / "template.json"
@@ -349,6 +351,9 @@ def _failure_cases(tmp_path):
         "spec-not-list": ["experiment", "--spec", str(spec_object)],
         "solve-small-factor": ["solve", "--input", str(gpath), "--partition", str(ppath),
                                "--factor", str(small_factor), "--eta", "1/4"],
+        "solve-float-factor-label": ["solve", "--input", str(gpath), "--partition",
+                                     str(ppath), "--factor", str(float_factor),
+                                     "--eta", "1/4"],
         "input-wrong-types": ["check", "--condition", "gh", "--input", str(wrong_types)],
         "gen-clusters-too-large": ["gen", "--family", "blowup", "--template", str(template),
                                    "--factor", str(template_factor), "--m", "14",
@@ -373,20 +378,22 @@ _FAILURE_NAMES = {
     "ideal-eps-zero": "eps must be",
     "cover-d-negative": "d must be",
     "cover-d-zero": "d must be",
+    "solve-float-factor-label": "vertex label 1.7 is not an integer",
 }
 
 
 @pytest.mark.parametrize(
     "case",
     ["check-output", "gen-output", "cover-trace", "certify-too-large",
-     "spec-not-objects", "spec-not-list", "solve-small-factor",
+     "spec-not-objects", "spec-not-list", "solve-small-factor", "solve-float-factor-label",
      "input-wrong-types", "gen-clusters-too-large", "gen-v0-negative",
      "matching-eps-zero", "ideal-eps-zero", "cover-d-negative", "cover-d-zero"],
 )
 def test_cli_failure_exits_by_table(runner, tmp_path, case):
     """Unwritable outputs, oversized exhaustive audits, specs and inputs of
-    the wrong shape, a factor on the wrong number of clusters and
-    out-of-range parameters exit 2 with one error line, not a traceback."""
+    the wrong shape, a factor on the wrong number of clusters, a non-integer
+    factor label and out-of-range parameters exit 2 with one error line, not
+    a traceback."""
     res = runner.invoke(main, _failure_cases(tmp_path)[case])
     assert res.exit_code == 2, (res.output, res.exception)
     assert res.output.startswith("error: ")

@@ -1,11 +1,15 @@
 """Exact oracles: Hamiltonicity DP vs permutation enumeration, cycle cover."""
 
+import ast
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import hamlab
 from hamlab import (
+    ContractError,
     Digraph,
     ScaleError,
     brute_force_hamiltonian,
@@ -16,8 +20,10 @@ from hamlab import (
     max_cycle_cover_coverage,
     verify_hamilton_cycle,
 )
-from hamlab.oracle import shortest_path
-from helpers import random_digraph
+from hamlab import oracle
+from hamlab.generators import gen_random_condition
+from hamlab.oracle import _layers, shortest_path
+from helpers import random_digraph, reference_brute_force_hamiltonian
 
 
 def test_trivial_cases():
@@ -51,6 +57,61 @@ def test_dp_vs_permutation_enumeration():
         if dp is not None:
             assert verify_hamilton_cycle(g, dp)
             assert verify_hamilton_cycle(g, perm)
+
+
+def _dp_corpus():
+    for n in range(2, 17):
+        for i, p in enumerate((0.15, 0.3, 0.5, 0.7)):
+            yield f"random n={n} p={p}", random_digraph(n, p, 100 * n + i)
+    for n in range(12, 21):
+        yield f"random_condition n={n}", gen_random_condition(n, Fraction(1, 4), seed=n)
+    for n in range(16, 21):
+        yield f"extremal n={n}", gen_extremal_chvatal(n, 3)
+    yield "concluding n=20", gen_concluding_example(20, Fraction(1, 5))
+
+
+def test_dp_certificates_equal_reference():
+    """The cached-layer DP returns the certificate (or None) of the DP that
+    rebuilt its popcount layers per call, on a seeded corpus up to n = 20."""
+    answers = set()
+    for name, g in _dp_corpus():
+        cert = brute_force_hamiltonian(g)
+        assert cert == reference_brute_force_hamiltonian(g), name
+        answers.add(cert is not None)
+    assert answers == {True, False}
+
+
+def test_layers_cached_read_only_and_ordered():
+    order, bounds = _layers(9)
+    assert _layers(9) is _layers(9)
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 0
+    for c in range(1, 10):
+        layer = order[bounds[c] : bounds[c + 1]].tolist()
+        expected = [s for s in range(1, 1 << 9, 2) if s.bit_count() == c]
+        assert layer == expected, c
+
+
+def test_unverified_certificate_is_a_contract_error(monkeypatch):
+    """The certificate check is a raise, not an assert, so it holds under
+    ``python -O`` too."""
+    monkeypatch.setattr(oracle, "verify_hamilton_cycle", lambda g, cert: False)
+    with pytest.raises(ContractError, match="not a Hamilton cycle"):
+        brute_force_hamiltonian(Digraph.directed_cycle(5))
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips assert statements; library checks must raise."""
+    found = []
+    for path in sorted(Path(hamlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
 
 
 def test_cycle_cover_trivia():

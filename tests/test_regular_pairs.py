@@ -306,3 +306,20 @@ def test_chernoff_audit_small():
     emp, bound = chernoff_audit(1000, 300, 200, 2000, Fraction(1, 2), seed=0)
     assert 0 <= emp <= 1
     assert emp <= bound
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("v0", '{"v0": [4.9], "clusters": [[0, 1], [2, 3]]}'),
+        ("clusters", '{"v0": [], "clusters": [[0, 1], [2.2, 3]]}'),
+        ("string", '{"v0": ["4"], "clusters": [[0, 1], [2, 3]]}'),
+        ("bool", '{"v0": [], "clusters": [[0, true], [2, 3]]}'),
+    ],
+)
+def test_partition_json_labels_are_strict(field, text):
+    """A float, string or bool label is rejected by name, never cast."""
+    with pytest.raises(ParameterError, match="^vertex label .* is not an integer$"):
+        ClusterPartition.from_json(text)
+    good = ClusterPartition.from_json('{"v0": [4], "clusters": [[0, 1], [2, 3]]}')
+    assert good == ClusterPartition((4,), ((0, 1), (2, 3)))
